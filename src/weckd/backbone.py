@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,13 +13,10 @@ __all__ = [
     "BackboneConfig",
     "Model",
     "build_model",
-    "forward_base",
-    "forward_attended",
+    "forward",
     "forward_on_tape",
     "copy_attention_weights",
     "param_digest",
-    "DESK_CONFIG",
-    "PAPER_FIDELITY_CONFIG",
 ]
 
 
@@ -50,10 +47,6 @@ class BackboneConfig:
                     f"for input {self.input_size[:2]}"
                 )
         return self.conv_blocks[-1], h, w
-
-
-DESK_CONFIG = BackboneConfig()
-PAPER_FIDELITY_CONFIG = BackboneConfig(input_size=(224, 224, 3), fc_width=1024)
 
 
 @dataclass
@@ -96,79 +89,47 @@ def build_model(config: BackboneConfig) -> Model:
     return Model(config, params)
 
 
-def _check_batch(model, batch):
+def _as_batch(model, batch):
+    batch = np.asarray(batch, dtype=np.float64)
     h, w, c = model.config.input_size
     if batch.ndim != 4 or batch.shape[1:] != (c, h, w):
         raise ShapeError(
             f"batch shape {batch.shape} does not match configured input ({c},{h},{w})"
         )
+    return batch
 
 
-def _conv_stack(model, x):
-    p = model.params
-    for i in range(len(model.config.conv_blocks)):
-        x = T.conv2d(x, p[f"conv{i}_w"], p[f"conv{i}_b"], stride=1, pad=1)
-        x = T.relu(x)
-        x = T.maxpool2(x)
-    return x
-
-
-def _head(model, pooled):
-    p = model.params
-    fc = T.relu(T.dense(pooled, p["w1"], p["b1"]))
-    logits = T.dense(fc, p["w2"], p["b2"])
-    return T.softmax(logits), logits
-
-
-def forward_base(model, batch):
-    """Plain path: conv stack -> GAP -> FC -> softmax. Returns (f_base, probs, logits)."""
-    batch = np.asarray(batch, dtype=np.float64)
-    _check_batch(model, batch)
-    f_base = _conv_stack(model, batch)
-    probs, logits = _head(model, T.gap(f_base))
-    return f_base, probs, logits
-
-
-def forward_attended(model, batch):
-    """Attention path: features gated per spatial location before GAP."""
-    if not model.attention_enabled:
-        raise ContractError("forward_attended called on a model with attention disabled")
-    batch = np.asarray(batch, dtype=np.float64)
-    _check_batch(model, batch)
-    f_base = _conv_stack(model, batch)
-    scores = T.attention_scores(f_base, model.params["w_att"], model.params["b_att"])
-    f_att = f_base * scores[:, None, :, :]
-    probs, logits = _head(model, T.gap(f_att))
-    return f_att, probs, logits
+def _layers(ops, p, x, config):
+    """The network, defined once: conv->relu->pool per block, the optional
+    spatial gate, GAP, FC-relu, FC. `ops` is the `tensor` module (inference,
+    arrays) or a `Tape` (training, nodes). Returns (features, logits)."""
+    for i in range(len(config.conv_blocks)):
+        x = ops.conv2d(x, p[f"conv{i}_w"], p[f"conv{i}_b"], stride=1, pad=1)
+        x = ops.relu(x)
+        x = ops.maxpool2(x)
+    if config.attention_enabled:
+        scores = ops.attention_scores(x, p["w_att"], p["b_att"])
+        x = ops.scale_spatial(x, scores)
+    fc = ops.relu(ops.dense(ops.gap(x), p["w1"], p["b1"]))
+    return x, ops.dense(fc, p["w2"], p["b2"])
 
 
 def forward(model, batch):
-    """Route through the attended or base path per the model's flag."""
-    if model.attention_enabled:
-        return forward_attended(model, batch)
-    return forward_base(model, batch)
+    """Inference pass. Returns (pre-GAP features, probs, logits); the features
+    are gated when the model has attention enabled."""
+    features, logits = _layers(T, model.params, _as_batch(model, batch), model.config)
+    return features, T.softmax(logits), logits
 
 
 def forward_on_tape(model, tape, batch):
     """Taped forward pass for training; returns the logits node.
 
-    Trainable parameters are registered on the tape under their model keys.
+    Every parameter is registered on the tape under its model key, so an
+    unused attention gate gets a zero gradient.
     """
-    batch = np.asarray(batch, dtype=np.float64)
-    _check_batch(model, batch)
+    batch = _as_batch(model, batch)
     nodes = {k: tape.param(k, v) for k, v in model.params.items()}
-    x = tape.const(batch)
-    for i in range(len(model.config.conv_blocks)):
-        x = tape.conv2d(x, nodes[f"conv{i}_w"], nodes[f"conv{i}_b"], stride=1, pad=1)
-        x = tape.relu(x)
-        x = tape.maxpool2(x)
-    if model.attention_enabled:
-        scores = tape.attention_scores(x, nodes["w_att"], nodes["b_att"])
-        x = tape.scale_spatial(x, scores)
-    pooled = tape.gap(x)
-    fc = tape.relu(tape.dense(pooled, nodes["w1"], nodes["b1"]))
-    logits = tape.dense(fc, nodes["w2"], nodes["b2"])
-    return logits
+    return _layers(tape, nodes, tape.const(batch), model.config)[1]
 
 
 def copy_attention_weights(teacher: Model, student: Model) -> Model:

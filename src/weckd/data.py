@@ -17,7 +17,6 @@ __all__ = [
     "generate_synthetic",
     "partition",
     "make_batches",
-    "augment",
     "SHAPE_NAMES",
 ]
 
@@ -227,24 +226,4 @@ def make_batches(dataset: LabeledDataset, indices, batch_size, shuffle_seed=None
     for start in range(0, indices.size, batch_size):
         chunk = indices[start:start + batch_size]
         out.append((dataset.images[chunk], dataset.labels[chunk]))
-    return out
-
-
-def augment(batch, ops=(), seed=0):
-    """Apply each of {hflip, vflip, rot90} with probability 0.5 per image, seeded."""
-    valid = {"hflip", "vflip", "rot90"}
-    bad = set(ops) - valid
-    if bad:
-        raise ContractError(f"unknown augmentation ops {sorted(bad)}; valid: {sorted(valid)}")
-    if not ops:
-        return batch
-    rng = np.random.default_rng(seed)
-    out = np.array(batch, copy=True)
-    for i in range(out.shape[0]):
-        if "hflip" in ops and rng.random() < 0.5:
-            out[i] = out[i, :, :, ::-1]
-        if "vflip" in ops and rng.random() < 0.5:
-            out[i] = out[i, :, ::-1, :]
-        if "rot90" in ops and rng.random() < 0.5:
-            out[i] = np.rot90(out[i], axes=(1, 2))
     return out

@@ -76,16 +76,20 @@ def kd_loss(z_student, z_teacher, temp):
     return float(kl.mean())
 
 
-def hybrid_loss(z_student, z_teacher, y_onehot, alpha, temp):
+def hybrid_loss(z_student, z_teacher, y_onehot, alpha, temp,
+                t_squared_compensation=False):
     """alpha * CE(student at T=1, y) + (1-alpha) * KL(teacher_T || student_T).
 
-    Returns (total, ce_part, kd_part).
+    With t_squared_compensation the KL term is weighted by T^2 as well, the
+    objective whose gradient `hybrid_loss_grad` returns for the same flag.
+    Returns (total, ce_part, kd_part); kd_part is the unweighted KL.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ContractError(f"alpha must be in [0,1], got {alpha}")
     ce = ce_loss(softmax_temperature(z_student, 1.0), y_onehot)
     kd = kd_loss(z_student, z_teacher, temp)
-    return alpha * ce + (1.0 - alpha) * kd, ce, kd
+    kd_weight = (1.0 - alpha) * (temp * temp if t_squared_compensation else 1.0)
+    return alpha * ce + kd_weight * kd, ce, kd
 
 
 def hybrid_loss_grad(z_student, z_teacher, y_onehot, alpha, temp,

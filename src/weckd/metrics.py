@@ -12,7 +12,6 @@ from .tensor import ContractError
 __all__ = [
     "confusion_matrix",
     "prf1",
-    "classification_error",
     "roc_auc_ovr",
     "TheoryReport",
     "theory_report",
@@ -66,15 +65,6 @@ def prf1(matrix):
     }
 
 
-def classification_error(matrix):
-    """1 - accuracy: the 0-1 indicator mean over the evaluated set."""
-    matrix = np.asarray(matrix)
-    total = matrix.sum()
-    if total == 0:
-        raise ContractError("empty confusion matrix")
-    return float(1.0 - np.trace(matrix) / total)
-
-
 def roc_auc_ovr(probs, true_labels):
     """One-vs-rest ROC-AUC per class via the Mann-Whitney rank statistic.
 
@@ -115,24 +105,21 @@ def _mean_kl(p_a, p_b):
                  .sum(axis=1).mean())
 
 
-def theory_report(models, dataset, split) -> TheoryReport:
-    """Empirical risk hierarchy, pairwise KL terms, and the attenuation estimate.
+def theory_report(progression, test_logits) -> TheoryReport:
+    """Empirical risk hierarchy, pairwise KL terms, and the attenuation estimate,
+    from `runner.score_chain`'s progression rows and M1..M3 test-set logits.
 
     beta_hat is the ratio of consecutive mean |logit difference| L1 norms over
     the test set: a diagnostic for whether inherited perturbations shrink.
     """
-    from .training import evaluate, logits_of  # deferred: avoids an import cycle
-
-    if len(models) != 3:
-        raise ContractError(f"theory report needs exactly 3 chain models, got {len(models)}")
-    subsets = [split.d1, split.d2, split.d3]
-    risks, gaps = [], []
-    for model, subset in zip(models, subsets):
-        _, test_acc = evaluate(model, dataset, split.d_test)
-        _, train_acc = evaluate(model, dataset, subset)
-        risks.append(float(1.0 - test_acc))
-        gaps.append(float((1.0 - test_acc) - (1.0 - train_acc)))
-    z = [logits_of(m, dataset, split.d_test) for m in models]
+    if len(progression) != 3 or len(test_logits) != 3:
+        raise ContractError(
+            f"theory report needs exactly 3 chain models, got {len(progression)} "
+            f"progression rows and {len(test_logits)} logit arrays"
+        )
+    risks = [1.0 - row["test_acc"] for row in progression]
+    gaps = [(1.0 - row["test_acc"]) - (1.0 - row["train_acc"]) for row in progression]
+    z = test_logits
     p = [softmax_temperature(zi, 1.0) for zi in z]
     kl_m2_m1 = _mean_kl(p[1], p[0])
     kl_m3_m2 = _mean_kl(p[2], p[1])

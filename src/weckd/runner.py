@@ -19,11 +19,13 @@ from .training import (
     ChainResult,
     evaluate,
     logits_of,
+    loss_accuracy,
     run_chain,
     save_checkpoint,
 )
 
-__all__ = ["load_dataset", "backbone_for", "run_experiment", "tune_experiment", "evaluate_model"]
+__all__ = ["load_dataset", "backbone_for", "score_chain", "deltas", "run_experiment",
+           "tune_experiment", "evaluate_model"]
 
 
 def load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
@@ -44,28 +46,61 @@ def backbone_for(cfg: ExperimentConfig, dataset: LabeledDataset) -> BackboneConf
     return BackboneConfig(**kwargs)
 
 
-def _metrics_payload(chain: ChainResult, dataset, split, class_names):
-    models = [r.model for r in chain.stage_results]
-    final = models[-1]
-    probs = softmax_temperature(logits_of(final, dataset, split.d_test), 1.0)
+def score_chain(models, dataset, split):
+    """Score the three chain models: one pass per model over its own training
+    subset and one over d_test.
+
+    Returns (progression rows, [test-set logits of M1, M2, M3]); the
+    metrics payload, the theory report and the CSV all derive from these.
+    """
     truths = dataset.labels[split.d_test]
-    cm = confusion_matrix(probs.argmax(axis=1), truths, dataset.num_classes)
+    progression, test_logits = [], []
+    for i, (model, subset) in enumerate(zip(models, (split.d1, split.d2, split.d3))):
+        train_loss, train_acc = evaluate(model, dataset, subset)
+        z = logits_of(model, dataset, split.d_test)
+        test_loss, test_acc = loss_accuracy(z, truths)
+        progression.append({
+            "stage": f"M{i + 1}",
+            "train_acc": float(train_acc),
+            "test_acc": float(test_acc),
+            "train_loss": float(train_loss),
+            "test_loss": float(test_loss),
+        })
+        test_logits.append(z)
+    return progression, test_logits
+
+
+def deltas(progression):
+    """Test-accuracy gains along the chain."""
+    acc = [row["test_acc"] for row in progression]
+    return {
+        "m1_to_m2": acc[1] - acc[0],
+        "m2_to_m3": acc[2] - acc[1],
+        "m1_to_m3": acc[2] - acc[0],
+    }
+
+
+def _metrics_payload(progression, test_logits, dataset, split):
+    k = dataset.num_classes
+    truths = dataset.labels[split.d_test]
+    probs = softmax_temperature(test_logits[-1], 1.0)
+    cm = confusion_matrix(probs.argmax(axis=1), truths, k)
     scores = prf1(cm)
     auc = roc_auc_ovr(probs, truths)
-    theory = theory_report(models, dataset, split)
+    theory = theory_report(progression, test_logits)
     return {
         "accuracy": scores["accuracy"],
         "macro": scores["macro"],
         "weighted": scores["weighted"],
         "per_class": [
-            {"class": class_names[c], **scores["per_class"][c], "auc": auc["per_class"][c]}
-            for c in range(dataset.num_classes)
+            {"class": dataset.class_names[c], **scores["per_class"][c], "auc": auc["per_class"][c]}
+            for c in range(k)
         ],
         "macro_auc": auc["macro"],
         "confusion_matrix": cm.tolist(),
         "theory": dataclasses.asdict(theory),
-        "progression": chain.progression,
-        "deltas": chain.deltas(),
+        "progression": progression,
+        "deltas": deltas(progression),
     }
 
 
@@ -104,13 +139,15 @@ def _run_one_seed(cfg, dataset, seed, out_dir):
     train_cfg = replace(cfg.train, seed=seed)
     backbone = backbone_for(cfg, dataset)
     chain = run_chain(dataset, split, train_cfg, backbone)
-    for i, r in enumerate(chain.stage_results):
-        save_checkpoint(r.model, os.path.join(out_dir, f"m{i + 1}.wckd"))
-    payload = _metrics_payload(chain, dataset, split, dataset.class_names)
+    models = [r.model for r in chain.stage_results]
+    for i, model in enumerate(models):
+        save_checkpoint(model, os.path.join(out_dir, f"m{i + 1}.wckd"))
+    progression, test_logits = score_chain(models, dataset, split)
+    payload = _metrics_payload(progression, test_logits, dataset, split)
     with open(os.path.join(out_dir, "metrics.json"), "w") as f:
         json.dump(payload, f, indent=2, sort_keys=True)
     _write_progression_csv(os.path.join(out_dir, "chain_progression.csv"),
-                           _dataset_name(cfg), chain.progression)
+                           _dataset_name(cfg), progression)
     _write_timing_csv(os.path.join(out_dir, "timing.csv"), chain)
     return payload
 
@@ -176,13 +213,17 @@ def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
 
 
 def evaluate_model(model, dataset):
-    """Full-dataset metrics for a loaded checkpoint (no partitioning)."""
-    indices = np.arange(len(dataset))
-    probs = softmax_temperature(logits_of(model, dataset, indices), 1.0)
-    cm = confusion_matrix(probs.argmax(axis=1), dataset.labels, dataset.num_classes)
+    """Full-dataset metrics for a loaded checkpoint (no partitioning).
+
+    One pass over the data; the class count is the checkpoint's, so data
+    that lacks the top classes still gets a K x K confusion matrix.
+    """
+    logits = logits_of(model, dataset, np.arange(len(dataset)))
+    probs = softmax_temperature(logits, 1.0)
+    cm = confusion_matrix(probs.argmax(axis=1), dataset.labels, model.num_classes)
     scores = prf1(cm)
     auc = roc_auc_ovr(probs, dataset.labels)
-    loss, acc = evaluate(model, dataset, indices)
+    loss, _ = loss_accuracy(logits, dataset.labels)
     return {
         "accuracy": scores["accuracy"],
         "loss": float(loss),

@@ -1,9 +1,10 @@
 """Dense float64 tensor ops with a taped reverse-mode backward pass.
 
 The op set is deliberately closed: exactly the primitives the classifier
-backbone needs (conv2d, relu, 2x2 maxpool, dense, GAP, sigmoid, softmax,
-a spatial attention gate, and a fused softmax cross-entropy). No general
-computation graph.
+backbone needs (conv2d, relu, 2x2 maxpool, dense, GAP, softmax, and a
+spatial attention gate with its per-location scaling). The pure functions
+and the `Tape` methods share names, so the backbone's one layer sequence
+runs on either. No general computation graph.
 """
 from __future__ import annotations
 
@@ -15,8 +16,8 @@ __all__ = [
     "NumericError",
     "Tape",
     "conv2d",
-    "layer_forward",
     "attention_scores",
+    "scale_spatial",
     "sgd_step",
     "finite_diff_check",
 ]
@@ -177,25 +178,9 @@ def attention_scores(f_base, w_att, b_att):
     return sigmoid(pre)
 
 
-_LAYER_KINDS = ("relu", "maxpool2", "dense", "gap", "sigmoid", "softmax")
-
-
-def layer_forward(kind, x, params=None):
-    """Dispatch a single layer forward. `params` is (w, b) for dense."""
-    if kind == "relu":
-        return relu(np.asarray(x, dtype=np.float64))
-    if kind == "maxpool2":
-        return maxpool2(np.asarray(x, dtype=np.float64))
-    if kind == "dense":
-        w, b = params
-        return dense(x, w, b)
-    if kind == "gap":
-        return gap(np.asarray(x, dtype=np.float64))
-    if kind == "sigmoid":
-        return sigmoid(np.asarray(x, dtype=np.float64))
-    if kind == "softmax":
-        return softmax(x)
-    raise ContractError(f"unknown layer kind {kind!r}, expected one of {_LAYER_KINDS}")
+def scale_spatial(f, a):
+    """Multiply features (B,C,H,W) by a per-location map (B,H,W)."""
+    return f * a[:, None, :, :]
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +270,6 @@ class Tape:
             (x, lambda g: np.broadcast_to((g * scale)[:, :, None, None], (B, C, H, W)).copy()),
         )))
 
-    def sigmoid(self, x):
-        out = sigmoid(x.value)
-        return self._add(_Node(out, ((x, lambda g: g * out * (1.0 - out)),)))
-
     def attention_scores(self, f, w, b):
         fv = f.value
         wv = np.asarray(w.value).reshape(-1)
@@ -309,19 +290,10 @@ class Tape:
     def scale_spatial(self, f, a):
         """Multiply features (B,C,H,W) by a per-location map (B,H,W)."""
         fv, av = f.value, a.value
-        out = fv * av[:, None, :, :]
+        out = scale_spatial(fv, av)
         return self._add(_Node(out, (
             (f, lambda g: g * av[:, None, :, :]),
             (a, lambda g: (g * fv).sum(axis=1)),
-        )))
-
-    def softmax_ce(self, logits, y_onehot):
-        """Fused mean softmax cross-entropy against one-hot targets (scalar)."""
-        p = softmax(logits.value)
-        B = p.shape[0]
-        loss = -(y_onehot * np.log(np.maximum(p, 1e-12))).sum(axis=1).mean()
-        return self._add(_Node(np.asarray(loss), (
-            (logits, lambda g: g * (p - y_onehot) / B),
         )))
 
     # -- backward -----------------------------------------------------------

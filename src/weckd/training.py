@@ -35,6 +35,8 @@ __all__ = [
     "scheduler_step",
     "run_chain",
     "evaluate",
+    "logits_of",
+    "loss_accuracy",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -84,16 +86,7 @@ class StageResult:
 @dataclass
 class ChainResult:
     stage_results: list           # [StageResult; 3]
-    progression: list             # per stage: dict(stage, train_acc, test_acc, train_loss, test_loss)
-    teacher_digests: list = None  # per distill stage: (digest before, digest after)
-
-    def deltas(self):
-        acc = [row["test_acc"] for row in self.progression]
-        return {
-            "m1_to_m2": acc[1] - acc[0],
-            "m2_to_m3": acc[2] - acc[1],
-            "m1_to_m3": acc[2] - acc[0],
-        }
+    teacher_digests: list         # per distill stage: (digest before, digest after)
 
 
 def _one_hot(labels, k):
@@ -102,39 +95,66 @@ def _one_hot(labels, k):
     return out
 
 
-def evaluate(model, dataset, indices, batch_size=256):
-    """Mean CE loss and accuracy over `indices` (pure inference).
-
-    WECKD_THREADS > 1 evaluates batches on a thread pool; the reduction is
-    an order-independent mean, so results match the sequential path.
-    """
-    batches = make_batches(dataset, indices, batch_size)
-    k = model.num_classes
-
-    def score(item):
-        x, y = item
-        _, probs, _ = forward(model, x)
-        ce = -(np.log(np.maximum(probs[np.arange(y.size), y], 1e-12)))
-        correct = (probs.argmax(axis=1) == y)
-        return ce.sum(), correct.sum(), y.size
-
-    threads = int(os.environ.get("WECKD_THREADS", "1"))
+def _map_batches(fn, batches):
+    """[fn(batch) for batch in batches], on a WECKD_THREADS pool when it is > 1."""
+    raw = os.environ.get("WECKD_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ContractError(f"WECKD_THREADS must be a positive integer, got {raw!r}")
     if threads > 1 and len(batches) > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(score, batches))
-    else:
-        parts = [score(b) for b in batches]
+            return list(pool.map(fn, batches))
+    return [fn(b) for b in batches]
+
+
+def _ce_correct(probs, y):
+    ce = -(np.log(np.maximum(probs[np.arange(y.size), y], 1e-12)))
+    return ce.sum(), (probs.argmax(axis=1) == y).sum(), y.size
+
+
+def _mean_loss_acc(parts):
+    # per-batch sums added in batch order, so every path gives the same bits
     loss_sum = sum(p[0] for p in parts)
     correct = sum(p[1] for p in parts)
     total = sum(p[2] for p in parts)
     return loss_sum / total, correct / total
 
 
+def evaluate(model, dataset, indices, batch_size=256):
+    """Mean CE loss and accuracy over `indices` (pure inference).
+
+    WECKD_THREADS > 1 evaluates batches on a thread pool; per-batch sums are
+    reduced in batch order, so results match the sequential path.
+    """
+    def score(item):
+        x, y = item
+        return _ce_correct(forward(model, x)[1], y)
+
+    return _mean_loss_acc(_map_batches(score, make_batches(dataset, indices, batch_size)))
+
+
 def logits_of(model, dataset, indices, batch_size=256):
-    """Stacked logits over `indices`, inference mode."""
-    outs = [forward(model, x)[2] for x, _ in make_batches(dataset, indices, batch_size)]
-    return np.concatenate(outs, axis=0)
+    """Stacked logits over `indices`, inference mode (WECKD_THREADS pool as in evaluate)."""
+    batches = make_batches(dataset, indices, batch_size)
+    return np.concatenate(_map_batches(lambda item: forward(model, item[0])[2], batches), axis=0)
+
+
+def loss_accuracy(logits, labels, batch_size=256):
+    """`evaluate`'s loss and accuracy from logits `logits_of` already computed.
+
+    The batch size must be the one the logits were scored at: the loss sums
+    per-batch CE in the same chunks and order, so it matches `evaluate` bit
+    for bit.
+    """
+    labels = np.asarray(labels)
+    return _mean_loss_acc([
+        _ce_correct(T.softmax(logits[s:s + batch_size]), labels[s:s + batch_size])
+        for s in range(0, labels.size, batch_size)
+    ])
 
 
 def scheduler_step(val_losses, lr, cfg: TrainConfig, decays_done=0):
@@ -160,7 +180,7 @@ def scheduler_step(val_losses, lr, cfg: TrainConfig, decays_done=0):
     return new_lr, stop, decays_done
 
 
-def _carve_validation(indices, seed):
+def _carve_validation(indices):
     """Last 10% of the stage's own (seeded-order) subset becomes its validation set."""
     indices = np.asarray(indices)
     n_val = max(1, indices.size // 10)
@@ -200,9 +220,9 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
                 dz = hybrid_loss_grad(z, z, y1, 1.0, 1.0)
             else:
                 zt = forward(teacher, x)[2]
-                loss, _, _ = hybrid_loss(z, zt, y1, dp.alpha, temp)
-                dz = hybrid_loss_grad(z, zt, y1, dp.alpha, temp,
-                                      t_squared_compensation=dp.t_squared_compensation)
+                tsc = dp.t_squared_compensation
+                loss, _, _ = hybrid_loss(z, zt, y1, dp.alpha, temp, t_squared_compensation=tsc)
+                dz = hybrid_loss_grad(z, zt, y1, dp.alpha, temp, t_squared_compensation=tsc)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at stage {stage_index}, epoch {epoch}, batch {bi}"
@@ -250,7 +270,7 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
 
 def train_stage1(model, d1_indices, dataset, cfg: TrainConfig) -> StageResult:
     """Supervised CE training of the chain's first model on its subset."""
-    train_idx, val_idx = _carve_validation(d1_indices, cfg.seed)
+    train_idx, val_idx = _carve_validation(d1_indices)
     return _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index=0)
 
 
@@ -262,7 +282,7 @@ def train_distill_stage(student, teacher, d_indices, dataset, cfg: TrainConfig,
             f"chain composition error: teacher has {teacher.num_classes} classes, "
             f"student has {student.num_classes}"
         )
-    train_idx, val_idx = _carve_validation(d_indices, cfg.seed)
+    train_idx, val_idx = _carve_validation(d_indices)
     return _train_loop(student, train_idx, val_idx, dataset, cfg,
                        stage_index=stage_index, teacher=teacher)
 
@@ -274,7 +294,7 @@ def train_single_baseline(dataset, split, cfg: TrainConfig,
     model = build_model(replace(backbone, attention_enabled=False,
                                 init_seed=_f_base_seed(cfg.seed)))
     indices = split.training_indices()
-    train_idx, val_idx = _carve_validation(indices, cfg.seed)
+    train_idx, val_idx = _carve_validation(indices)
     return _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index=9)
 
 
@@ -301,7 +321,9 @@ def _assert_no_leakage(split: DatasetSplit):
 
 def run_chain(dataset: LabeledDataset, split: DatasetSplit, cfg: TrainConfig,
               backbone: BackboneConfig = None) -> ChainResult:
-    """Full three-stage chain: supervised M1, then distilled M2 and M3."""
+    """Full three-stage chain: supervised M1, then distilled M2 and M3.
+
+    Trains only; `runner.score_chain` scores the trained models."""
     _assert_no_leakage(split)
     backbone = backbone or _default_backbone(dataset)
     seed = _f_base_seed(cfg.seed)
@@ -330,19 +352,7 @@ def run_chain(dataset: LabeledDataset, split: DatasetSplit, cfg: TrainConfig,
             teacher_digests.append((before, param_digest(teacher)))
         stage_results.append(result)
         teacher = result.model
-
-    progression = []
-    for i, result in enumerate(stage_results):
-        train_loss, train_acc = evaluate(result.model, dataset, subsets[i])
-        test_loss, test_acc = evaluate(result.model, dataset, split.d_test)
-        progression.append({
-            "stage": f"M{i + 1}",
-            "train_acc": float(train_acc),
-            "test_acc": float(test_acc),
-            "train_loss": float(train_loss),
-            "test_loss": float(test_loss),
-        })
-    return ChainResult(stage_results, progression, teacher_digests)
+    return ChainResult(stage_results, teacher_digests)
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +396,24 @@ def save_checkpoint(model: Model, path):
             f.write(arr.tobytes())
 
 
+def _config_from_blob(blob, offset):
+    try:
+        d = json.loads(blob.decode("utf-8"))
+        return BackboneConfig(
+            input_size=tuple(d["input_size"]),
+            conv_blocks=tuple(d["conv_blocks"]),
+            fc_width=d["fc_width"],
+            num_classes=d["num_classes"],
+            attention_enabled=d["attention_enabled"],
+            init_seed=d["init_seed"],
+        )
+    except KeyError as exc:
+        raise CheckpointError(f"config blob at offset {offset} lacks key {exc}") from None
+    except (ValueError, TypeError, ContractError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and ShapeError
+        raise CheckpointError(f"invalid config blob at offset {offset}: {exc}") from None
+
+
 def load_checkpoint(path) -> Model:
     with open(path, "rb") as f:
         data = f.read()
@@ -405,31 +433,33 @@ def load_checkpoint(path) -> Model:
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (blob_len,) = struct.unpack("<I", take(4, "config length"))
-    cfg_dict = json.loads(take(blob_len, "config blob").decode())
-    config = BackboneConfig(
-        input_size=tuple(cfg_dict["input_size"]),
-        conv_blocks=tuple(cfg_dict["conv_blocks"]),
-        fc_width=cfg_dict["fc_width"],
-        num_classes=cfg_dict["num_classes"],
-        attention_enabled=cfg_dict["attention_enabled"],
-        init_seed=cfg_dict["init_seed"],
-    )
+    config = _config_from_blob(take(blob_len, "config blob"), off - blob_len)
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     params = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "tensor name").decode()
+        try:
+            name = take(name_len, "tensor name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"tensor name at offset {off - name_len} is not UTF-8") from None
+        if name in params:
+            raise CheckpointError(f"duplicate tensor {name} at offset {off - name_len}")
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = tuple(struct.unpack("<I", take(4, "dim"))[0] for _ in range(rank))
         size = int(np.prod(dims)) if dims else 1
         arr = np.frombuffer(take(size * 4, f"data of {name}"), dtype="<f4").reshape(dims)
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(
+                f"non-finite values in tensor {name} (data at offset {off - size * 4})"
+            )
         params[name] = arr.astype(np.float64)
-    expected = set(build_model(config).params)
-    if set(params) != expected:
-        raise CheckpointError(
-            f"checkpoint parameters {sorted(params)} do not match config-required {sorted(expected)}"
-        )
+    if off != len(data):
+        raise CheckpointError(f"{len(data) - off} trailing bytes after the last tensor at offset {off}")
     reference = build_model(config)
+    if set(params) != set(reference.params):
+        raise CheckpointError(
+            f"checkpoint parameters {sorted(params)} do not match config-required {sorted(reference.params)}"
+        )
     for name, arr in params.items():
         if arr.shape != reference.params[name].shape:
             raise CheckpointError(

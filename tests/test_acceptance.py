@@ -31,6 +31,7 @@ from weckd.losses import (
     hybrid_loss,
     kd_loss,
 )
+from weckd.runner import score_chain
 from weckd.tensor import finite_diff_check
 from weckd.tpe import SearchSpace, run_study
 from weckd.training import (
@@ -55,10 +56,11 @@ def protocol():
     dataset = generate_synthetic(1000, 4, (32, 32), 0.15, seed=0)
     # the experiment driver partitions stratified by default; mirror it here
     split = partition(dataset, 0, stratified=True)
-    chains, singles = [], []
+    chains, scores, singles = [], [], []
     t0 = time.perf_counter()
     for seed in range(N_SEEDS):
         chains.append(run_chain(dataset, split, TrainConfig(seed=seed)))
+        scores.append(score_chain([r.model for r in chains[-1].stage_results], dataset, split))
     chain_seconds = time.perf_counter() - t0
     t0 = time.perf_counter()
     for seed in range(N_SEEDS):
@@ -73,7 +75,8 @@ def protocol():
         "dataset": dataset,
         "split": split,
         "chains": chains,
-        "chain_accs": [[row["test_acc"] for row in c.progression] for c in chains],
+        "scores": scores,  # per seed: (progression rows, M1..M3 test-set logits)
+        "chain_accs": [[row["test_acc"] for row in progression] for progression, _ in scores],
         "single_accs": [test_acc(s.model) for s in singles],
         "chain_seconds": chain_seconds,
         "single_seconds": single_seconds,
@@ -202,9 +205,8 @@ def test_chain_parity_with_single_model(protocol):
 def test_risk_hierarchy(protocol):
     from weckd.metrics import theory_report
     holds = 0
-    for chain in protocol["chains"]:
-        report = theory_report([r.model for r in chain.stage_results],
-                               protocol["dataset"], protocol["split"])
+    for progression, test_logits in protocol["scores"]:
+        report = theory_report(progression, test_logits)
         assert report.kl_m2_m1 >= 0.0
         assert report.kl_m3_m2 >= 0.0
         r1, r2, r3 = report.risks

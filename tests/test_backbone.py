@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,10 @@ from weckd.backbone import (
     build_model,
     copy_attention_weights,
     forward,
-    forward_attended,
-    forward_base,
+    forward_on_tape,
     param_digest,
 )
-from weckd.tensor import ContractError, ShapeError, attention_scores
+from weckd.tensor import ShapeError, Tape, attention_scores
 
 
 def test_build_is_deterministic():
@@ -46,20 +47,20 @@ def test_spatial_collapse_rejected():
 def test_probability_rows_sum_to_one():
     model = build_model(BackboneConfig(init_seed=0))
     batch = np.random.default_rng(0).uniform(0, 1, size=(3, 3, 32, 32))
-    _, probs, _ = forward_base(model, batch)
+    _, probs, _ = forward(model, batch)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_zero_parameters_give_uniform_probs():
     model = build_model(BackboneConfig(init_seed=0))
     model = Model(model.config, {k: np.zeros_like(v) for k, v in model.params.items()})
-    _, probs, _ = forward_base(model, np.ones((2, 3, 32, 32)))
+    _, probs, _ = forward(model, np.ones((2, 3, 32, 32)))
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
 
 def test_feature_map_shape_default_config():
     model = build_model(BackboneConfig(init_seed=0))
-    f_base, _, logits = forward_base(model, np.zeros((2, 3, 32, 32)))
+    f_base, _, logits = forward(model, np.zeros((2, 3, 32, 32)))
     assert f_base.shape == (2, 64, 4, 4)
     assert np.all(np.isfinite(logits))
 
@@ -67,7 +68,7 @@ def test_feature_map_shape_default_config():
 def test_wrong_input_size_rejected():
     model = build_model(BackboneConfig())
     with pytest.raises(ShapeError):
-        forward_base(model, np.zeros((1, 3, 16, 16)))
+        forward(model, np.zeros((1, 3, 16, 16)))
 
 
 def test_attention_scores_zero_weights():
@@ -95,13 +96,18 @@ def _attended_model(seed=0):
     return build_model(BackboneConfig(attention_enabled=True, init_seed=seed))
 
 
+def _plain_twin(model):
+    """The same parameters with the attention gate switched off."""
+    return Model(replace(model.config, attention_enabled=False), model.params)
+
+
 def test_saturated_attention_equals_base_path():
     model = _attended_model()
     model.params["w_att"] = np.zeros_like(model.params["w_att"])
     model.params["b_att"] = np.array(800.0)  # sigmoid underflows to exactly 1.0
     batch = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
-    _, probs_att, logits_att = forward_attended(model, batch)
-    _, probs_base, logits_base = forward_base(model, batch)
+    _, probs_att, logits_att = forward(model, batch)
+    _, probs_base, logits_base = forward(_plain_twin(model), batch)
     np.testing.assert_array_equal(logits_att, logits_base)
     np.testing.assert_array_equal(probs_att, probs_base)
 
@@ -111,8 +117,8 @@ def test_constant_half_attention_scales_gap():
     model.params["w_att"] = np.zeros_like(model.params["w_att"])
     model.params["b_att"] = np.array(0.0)  # every score exactly 0.5
     batch = np.random.default_rng(2).uniform(0, 1, size=(1, 3, 32, 32))
-    f_base, _, _ = forward_base(model, batch)
-    f_att, _, _ = forward_attended(model, batch)
+    f_base, _, _ = forward(_plain_twin(model), batch)
+    f_att, _, _ = forward(model, batch)
     np.testing.assert_allclose(f_att.mean(axis=(2, 3)), 0.5 * f_base.mean(axis=(2, 3)),
                                atol=1e-12)
 
@@ -120,25 +126,31 @@ def test_constant_half_attention_scales_gap():
 def test_attention_scores_strictly_inside_unit_interval():
     model = _attended_model(seed=5)
     batch = np.random.default_rng(5).uniform(0, 1, size=(2, 3, 32, 32))
-    f_att, _, _ = forward_attended(model, batch)
-    scores = attention_scores(forward_base(model, batch)[0],
+    f_att, _, _ = forward(model, batch)
+    scores = attention_scores(forward(_plain_twin(model), batch)[0],
                               model.params["w_att"], model.params["b_att"])
     assert np.all(scores > 0) and np.all(scores < 1)
     assert np.all(np.isfinite(f_att))
-
-
-def test_forward_attended_requires_flag():
-    model = build_model(BackboneConfig(attention_enabled=False))
-    with pytest.raises(ContractError):
-        forward_attended(model, np.zeros((1, 3, 32, 32)))
 
 
 def test_forward_routes_by_flag():
     batch = np.random.default_rng(3).uniform(0, 1, size=(1, 3, 32, 32))
     plain = build_model(BackboneConfig(init_seed=4))
     gated = build_model(BackboneConfig(attention_enabled=True, init_seed=4))
-    np.testing.assert_array_equal(forward(plain, batch)[2], forward_base(plain, batch)[2])
-    np.testing.assert_array_equal(forward(gated, batch)[2], forward_attended(gated, batch)[2])
+    # same init seed, same parameters: the flag alone inserts the gate
+    f_plain = forward(plain, batch)[0]
+    scores = attention_scores(f_plain, gated.params["w_att"], gated.params["b_att"])
+    np.testing.assert_array_equal(forward(gated, batch)[0], f_plain * scores[:, None])
+    assert not np.array_equal(forward(gated, batch)[2], forward(plain, batch)[2])
+
+
+@pytest.mark.parametrize("attention", [False, True])
+def test_forward_matches_taped_forward_exactly(attention):
+    model = build_model(BackboneConfig(input_size=(16, 16, 1), attention_enabled=attention,
+                                       init_seed=6))
+    batch = np.random.default_rng(6).uniform(0, 1, size=(3, 1, 16, 16))
+    np.testing.assert_array_equal(forward(model, batch)[2],
+                                  forward_on_tape(model, Tape(), batch).value)
 
 
 def test_copy_attention_weights():

@@ -1,11 +1,14 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
+from weckd.backbone import BackboneConfig, build_model
 from weckd.cli import main
 from weckd.config import ConfigError, canonical_config, parse_config
+from weckd.training import save_checkpoint
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -135,6 +138,113 @@ def test_eval_class_count_mismatch(tmp_path, capsys):
                  "--data", data_out + "-images.idx", data_out + "-labels.idx"])
     assert code == 2
     assert "mismatch" in capsys.readouterr().err
+
+
+# -- eval on hand-made checkpoints ---------------------------------------------
+
+EVAL_BB = BackboneConfig(input_size=(12, 12, 1), conv_blocks=(4, 6), fc_width=8,
+                         num_classes=4)
+
+
+def _eval_inputs(tmp_path, capsys, classes=4):
+    """A 4-class checkpoint file and a 12x12 IDX pair with `classes` classes."""
+    ckpt = str(tmp_path / "m.wckd")
+    save_checkpoint(build_model(EVAL_BB), ckpt)
+    data = str(tmp_path / "d")
+    assert main(["gen-data", "--out", data, "--n", "40", "--classes", str(classes),
+                 "--size", "12"]) == 0
+    capsys.readouterr()
+    return ckpt, [data + "-images.idx", data + "-labels.idx"]
+
+
+def _run_eval(ckpt, data, capsys):
+    code = main(["eval", "--checkpoint", ckpt, "--data", *data])
+    return code, capsys.readouterr()
+
+
+def test_eval_takes_class_count_from_checkpoint(tmp_path, capsys):
+    ckpt, data = _eval_inputs(tmp_path, capsys, classes=3)
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 0, out.err
+    payload = json.loads(out.out)
+    assert np.array(payload["confusion_matrix"]).shape == (4, 4)
+    assert len(payload["per_class"]) == 4
+
+
+def _rewrite_config_blob(path, edit):
+    raw = open(path, "rb").read()
+    (n,) = struct.unpack("<I", raw[8:12])
+    blob = edit(raw[12:12 + n])
+    open(path, "wb").write(raw[:8] + struct.pack("<I", len(blob)) + blob + raw[12 + n:])
+
+
+def test_eval_rejects_trailing_bytes(tmp_path, capsys):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+    size = os.path.getsize(ckpt)
+    with open(ckpt, "ab") as f:
+        f.write(b"\0\0\0")
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 1
+    assert "trailing" in out.err and f"offset {size}" in out.err
+
+
+def test_eval_rejects_non_utf8_config_blob(tmp_path, capsys):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+    _rewrite_config_blob(ckpt, lambda blob: b"\xff" + blob[1:])
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 1
+    assert "config blob at offset 12" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_eval_rejects_config_blob_without_key(tmp_path, capsys):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+
+    def drop_fc_width(blob):
+        d = json.loads(blob)
+        del d["fc_width"]
+        return json.dumps(d).encode()
+
+    _rewrite_config_blob(ckpt, drop_fc_width)
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 1
+    assert "offset 12" in out.err and "fc_width" in out.err
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_eval_rejects_non_finite_weights(tmp_path, capsys, bad):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+    model = build_model(EVAL_BB)
+    model.params["w2"][0, 0] = bad
+    save_checkpoint(model, ckpt)
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 1
+    assert "non-finite" in out.err and "w2" in out.err
+    assert out.out == ""
+
+
+def test_eval_rejects_duplicate_tensor(tmp_path, capsys):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+    raw = open(ckpt, "rb").read()
+    (n,) = struct.unpack("<I", raw[8:12])
+    count_at = 12 + n
+    (count,) = struct.unpack("<I", raw[count_at:count_at + 4])
+    # the first record is b1 (names are sorted): a 1-d tensor of fc_width f32
+    first = raw[count_at + 4:count_at + 4 + 2 + 2 + 1 + 4 + 4 * EVAL_BB.fc_width]
+    assert first[2:4] == b"b1"
+    open(ckpt, "wb").write(raw[:count_at] + struct.pack("<I", count + 1)
+                           + raw[count_at + 4:] + first)
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 1
+    assert "duplicate tensor b1" in out.err
+
+
+def test_eval_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+    monkeypatch.setenv("WECKD_THREADS", "two")
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 2
+    assert "WECKD_THREADS" in out.err and "'two'" in out.err
 
 
 def test_eval_requires_data_flag():

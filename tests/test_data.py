@@ -5,7 +5,6 @@ from weckd.data import (
     IdxFormatError,
     LabeledDataset,
     SHAPE_NAMES,
-    augment,
     generate_synthetic,
     load_idx,
     make_batches,
@@ -167,38 +166,3 @@ def test_batch_empty_indices_rejected():
     ds = generate_synthetic(50, 4, (8, 8), 0.0, seed=0)
     with pytest.raises(ContractError):
         make_batches(ds, np.array([], dtype=int), 4)
-
-
-def test_augment_no_ops_is_identity():
-    batch = np.random.default_rng(0).uniform(0, 1, size=(4, 1, 8, 8))
-    np.testing.assert_array_equal(augment(batch, ()), batch)
-
-
-@pytest.mark.parametrize("op", ["hflip", "vflip"])
-def test_augment_flip_twice_same_seed_is_identity(op):
-    # the seeded coin lands the same way both times, so the flip either
-    # applies twice (involution) or never applies
-    batch = np.random.default_rng(1).uniform(0, 1, size=(6, 1, 8, 8))
-    out = augment(augment(batch, (op,), seed=11), (op,), seed=11)
-    np.testing.assert_array_equal(out, batch)
-
-
-def test_augment_rot90_four_times_same_seed_is_identity():
-    batch = np.random.default_rng(2).uniform(0, 1, size=(6, 1, 8, 8))
-    out = batch
-    for _ in range(4):
-        out = augment(out, ("rot90",), seed=5)
-    np.testing.assert_array_equal(out, batch)
-
-
-def test_augment_preserves_range_and_is_seeded():
-    batch = np.random.default_rng(3).uniform(0, 1, size=(8, 1, 8, 8))
-    a = augment(batch, ("hflip", "vflip", "rot90"), seed=4)
-    b = augment(batch, ("hflip", "vflip", "rot90"), seed=4)
-    np.testing.assert_array_equal(a, b)
-    assert a.min() >= 0.0 and a.max() <= 1.0
-
-
-def test_augment_unknown_op():
-    with pytest.raises(ContractError):
-        augment(np.zeros((1, 1, 4, 4)), ("blur",))

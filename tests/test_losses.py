@@ -147,24 +147,39 @@ def test_hybrid_grad_softmax_ce_identity():
 
 
 def test_hybrid_grad_matches_finite_differences():
+    # the reported loss is the objective the gradient differentiates, T^2 or not
     rng = np.random.default_rng(5)
-    for _ in range(50):
-        B, K = int(rng.integers(1, 5)), int(rng.integers(2, 6))
-        zs = rng.normal(0, 2, size=(B, K))
-        zt = rng.normal(0, 2, size=(B, K))
-        y = np.eye(K)[rng.integers(0, K, B)]
-        alpha = float(rng.uniform(0, 1))
-        temp = float(rng.uniform(1, 5))
-        g = hybrid_loss_grad(zs, zt, y, alpha, temp)
-        eps = 1e-5
-        for i in range(B):
-            for k in range(K):
-                zp = zs.copy(); zp[i, k] += eps
-                zm = zs.copy(); zm[i, k] -= eps
-                num = (hybrid_loss(zp, zt, y, alpha, temp)[0]
-                       - hybrid_loss(zm, zt, y, alpha, temp)[0]) / (2 * eps)
-                denom = max(abs(g[i, k]), abs(num), 1e-8)
-                assert abs(g[i, k] - num) / denom < 1e-6
+    for tsc in (False, True):
+        for _ in range(50):
+            B, K = int(rng.integers(1, 5)), int(rng.integers(2, 6))
+            zs = rng.normal(0, 2, size=(B, K))
+            zt = rng.normal(0, 2, size=(B, K))
+            y = np.eye(K)[rng.integers(0, K, B)]
+            alpha = float(rng.uniform(0, 1))
+            temp = float(rng.uniform(1, 5))
+            g = hybrid_loss_grad(zs, zt, y, alpha, temp, t_squared_compensation=tsc)
+
+            def loss(z):
+                return hybrid_loss(z, zt, y, alpha, temp, t_squared_compensation=tsc)[0]
+
+            eps = 1e-5
+            for i in range(B):
+                for k in range(K):
+                    zp = zs.copy(); zp[i, k] += eps
+                    zm = zs.copy(); zm[i, k] -= eps
+                    num = (loss(zp) - loss(zm)) / (2 * eps)
+                    denom = max(abs(g[i, k]), abs(num), 1e-8)
+                    assert abs(g[i, k] - num) / denom < 1e-6, f"t_squared_compensation={tsc}"
+
+
+def test_hybrid_t_squared_weights_only_the_kd_term():
+    rng = np.random.default_rng(7)
+    zs, zt = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+    y = np.eye(3)[rng.integers(0, 3, 4)]
+    plain = hybrid_loss(zs, zt, y, 0.4, 3.0)
+    scaled = hybrid_loss(zs, zt, y, 0.4, 3.0, t_squared_compensation=True)
+    assert scaled[1:] == plain[1:]
+    assert scaled[0] == pytest.approx(0.4 * plain[1] + 0.6 * 9.0 * plain[2], rel=1e-14)
 
 
 def test_anneal_endpoints():

@@ -4,12 +4,12 @@ import pytest
 from weckd.backbone import BackboneConfig, build_model
 from weckd.data import generate_synthetic, partition
 from weckd.metrics import (
-    classification_error,
     confusion_matrix,
     prf1,
     roc_auc_ovr,
     theory_report,
 )
+from weckd.runner import score_chain
 from weckd.tensor import ContractError
 
 
@@ -77,13 +77,6 @@ def test_weighted_average_uses_support():
     assert scores["weighted"]["f1"] == pytest.approx(1.0)
 
 
-def test_classification_error_complement():
-    m = np.array([[8, 2], [1, 9]])
-    assert classification_error(m) + prf1(m)["accuracy"] == pytest.approx(1.0, abs=0)
-    assert classification_error(np.diag([3, 3])) == 0.0
-    assert classification_error(np.array([[0, 5], [5, 0]])) == 1.0
-
-
 def test_auc_perfectly_separated():
     probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7], [0.2, 0.8]])
     out = roc_auc_ovr(probs, [0, 0, 1, 1])
@@ -128,10 +121,13 @@ def _tiny_chain_models():
     return [build_model(bb) for _ in range(3)]
 
 
-def test_theory_report_identical_models():
+def _tiny_chain_scores(models):
     ds = generate_synthetic(60, 3, (12, 12), 0.1, seed=0)
-    split = partition(ds, 0)
-    report = theory_report(_tiny_chain_models(), ds, split)
+    return score_chain(models, ds, partition(ds, 0))
+
+
+def test_theory_report_identical_models():
+    report = theory_report(*_tiny_chain_scores(_tiny_chain_models()))
     assert report.kl_m2_m1 == pytest.approx(0.0, abs=1e-12)
     assert report.kl_m3_m2 == pytest.approx(0.0, abs=1e-12)
     assert report.beta_hat is None          # 0/0 attenuation ratio
@@ -140,16 +136,13 @@ def test_theory_report_identical_models():
 
 
 def test_theory_report_deterministic():
-    ds = generate_synthetic(60, 3, (12, 12), 0.1, seed=0)
-    split = partition(ds, 0)
     models = _tiny_chain_models()
-    a = theory_report(models, ds, split)
-    b = theory_report(models, ds, split)
+    a = theory_report(*_tiny_chain_scores(models))
+    b = theory_report(*_tiny_chain_scores(models))
     assert a == b
 
 
 def test_theory_report_requires_three_models():
-    ds = generate_synthetic(60, 3, (12, 12), 0.1, seed=0)
-    split = partition(ds, 0)
+    progression, test_logits = _tiny_chain_scores(_tiny_chain_models())
     with pytest.raises(ContractError):
-        theory_report(_tiny_chain_models()[:2], ds, split)
+        theory_report(progression[:2], test_logits[:2])

@@ -7,11 +7,16 @@ from weckd.tensor import (
     ShapeError,
     Tape,
     conv2d,
+    dense,
     finite_diff_check,
-    layer_forward,
+    gap,
+    maxpool2,
+    relu,
     sgd_step,
+    softmax,
 )
 from weckd.backbone import BackboneConfig, build_model, forward_on_tape
+from weckd.losses import hybrid_loss, hybrid_loss_grad
 
 
 def test_conv2d_scalar_product():
@@ -69,34 +74,29 @@ def test_conv2d_output_size_formula():
         assert out.shape[3] == (W + 2 * pad - k) // stride + 1
 
 
+# the forward primitives the backbone's layer sequence runs at inference
+
 def test_layer_forward_relu():
-    np.testing.assert_array_equal(layer_forward("relu", np.array([-1.0, 0.0, 2.0])),
-                                  [0.0, 0.0, 2.0])
+    np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
 
 def test_layer_forward_gap_constant():
-    out = layer_forward("gap", np.full((1, 1, 2, 2), 7.5))
+    out = gap(np.full((1, 1, 2, 2), 7.5))
     np.testing.assert_array_equal(out, [[7.5]])
 
 
 def test_layer_forward_maxpool():
-    out = layer_forward("maxpool2", np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
+    out = maxpool2(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
     assert out.reshape(-1)[0] == 4.0
 
 
 def test_layer_forward_softmax_symmetry():
-    np.testing.assert_allclose(layer_forward("softmax", np.array([[0.0, 0.0]])),
-                               [[0.5, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]], atol=1e-15)
 
 
 def test_layer_forward_dense_mismatch():
     with pytest.raises(ShapeError):
-        layer_forward("dense", np.ones((1, 3)), (np.ones((4, 2)), np.zeros(2)))
-
-
-def test_layer_forward_unknown_kind():
-    with pytest.raises(ContractError):
-        layer_forward("conv3d", np.ones(3))
+        dense(np.ones((1, 3)), np.ones((4, 2)), np.zeros(2))
 
 
 def test_backward_linear_in_x():
@@ -212,18 +212,18 @@ def _backbone_loss_fns(attention, seed):
     batch = rng.uniform(0, 1, size=(2, 1, 8, 8))
     y = np.eye(3)[rng.integers(0, 3, 2)]
 
+    # the stage-1 training loss: the hybrid loss at alpha=1 is plain softmax CE
     def fwd(params):
         from weckd.backbone import Model
-        tape = Tape()
-        logits = forward_on_tape(Model(cfg, params), tape, batch)
-        return tape.softmax_ce(logits, y).value
+        z = forward_on_tape(Model(cfg, params), Tape(), batch).value
+        return hybrid_loss(z, z, y, 1.0, 1.0)[0]
 
     def grad(params):
         from weckd.backbone import Model
         tape = Tape()
         logits = forward_on_tape(Model(cfg, params), tape, batch)
-        loss = tape.softmax_ce(logits, y)
-        return tape.backward(loss)
+        z = logits.value
+        return tape.backward(logits, hybrid_loss_grad(z, z, y, 1.0, 1.0))
 
     return fwd, grad, model
 

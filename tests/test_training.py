@@ -1,18 +1,25 @@
-import os
+import json
+import threading
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import weckd.training
 from weckd.backbone import BackboneConfig, build_model, param_digest
+from weckd.config import parse_config
 from weckd.data import DatasetSplit, generate_synthetic, partition
 from weckd.losses import DistillParams
+from weckd.runner import deltas, evaluate_model, run_experiment, score_chain
 from weckd.tensor import ContractError
 from weckd.training import (
     CheckpointError,
     TrainConfig,
     evaluate,
     load_checkpoint,
+    logits_of,
+    loss_accuracy,
     run_chain,
     save_checkpoint,
     scheduler_step,
@@ -154,9 +161,10 @@ def test_hyperparams_recorded():
 def test_chain_deltas_telescope_exactly():
     ds, split = tiny_setup(n=90)
     chain = run_chain(ds, split, fast_cfg(), TINY_BB)
-    d = chain.deltas()
+    progression, _ = score_chain([r.model for r in chain.stage_results], ds, split)
+    d = deltas(progression)
     assert d["m1_to_m3"] == pytest.approx(d["m1_to_m2"] + d["m2_to_m3"], abs=0)
-    assert [r["stage"] for r in chain.progression] == ["M1", "M2", "M3"]
+    assert [r["stage"] for r in progression] == ["M1", "M2", "M3"]
 
 
 def test_chain_attention_flags_follow_config():
@@ -203,16 +211,78 @@ def test_single_baseline_uses_all_training_subsets():
     assert res.steps_per_epoch == int(np.ceil((27 - 2) / 8))
 
 
-def test_evaluate_thread_pool_matches_sequential():
+def test_evaluate_thread_pool_matches_sequential(monkeypatch):
     ds, split = tiny_setup(n=90)
     model = build_model(TINY_BB)
-    seq = evaluate(model, ds, split.d_test, batch_size=8)
-    os.environ["WECKD_THREADS"] = "4"
-    try:
-        par = evaluate(model, ds, split.d_test, batch_size=8)
-    finally:
-        os.environ.pop("WECKD_THREADS")
-    assert seq == par
+    ds_all = generate_synthetic(600, 3, (12, 12), 0.1, seed=1)  # 3 batches of 256
+
+    def passes():
+        return (evaluate(model, ds, split.d_test, batch_size=8),
+                logits_of(model, ds, split.d_test, batch_size=8),
+                evaluate_model(model, ds_all))
+
+    monkeypatch.delenv("WECKD_THREADS", raising=False)
+    seq = passes()
+    monkeypatch.setenv("WECKD_THREADS", "4")
+    workers = set()
+    real = weckd.training.forward
+
+    def on_thread(model, batch):
+        workers.add(threading.get_ident())
+        return real(model, batch)
+
+    monkeypatch.setattr(weckd.training, "forward", on_thread)
+    par = passes()
+    assert threading.get_ident() not in workers  # every pass ran on the pool
+    assert seq[0] == par[0]
+    np.testing.assert_array_equal(seq[1], par[1])
+    assert seq[2] == par[2]
+
+
+def test_logits_loss_matches_evaluate_bit_for_bit():
+    ds = generate_synthetic(600, 3, (12, 12), 0.1, seed=2)
+    model = build_model(TINY_BB)
+    idx = np.arange(600)
+    assert loss_accuracy(logits_of(model, ds, idx), ds.labels) == evaluate(model, ds, idx)
+
+
+# -- scoring passes ------------------------------------------------------------
+
+def _count_forward_images(monkeypatch):
+    """Wrap the network's inference pass; count how often each image goes through."""
+    monkeypatch.delenv("WECKD_THREADS", raising=False)  # the counter is not thread-safe
+    seen = Counter()
+    real = weckd.training.forward
+
+    def counting(model, batch):
+        seen.update(row.tobytes() for row in np.asarray(batch))
+        return real(model, batch)
+
+    monkeypatch.setattr(weckd.training, "forward", counting)
+    return seen
+
+
+def test_run_experiment_scores_each_test_image_once_per_model(tmp_path, monkeypatch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dataset": {"synthetic": {"n": 90, "classes": 3, "height": 12, "width": 12,
+                                  "noise_std": 0.1, "seed": 0}},
+        "backbone": {"conv_blocks": [4, 6], "fc_width": 8},
+        "train": {"max_epochs": 2, "batch_size": 8},
+    }))
+    cfg = parse_config(str(path))
+    ds = generate_synthetic(90, 3, (12, 12), 0.1, seed=0)
+    split = partition(ds, cfg.partition_seed, stratified=True)
+    seen = _count_forward_images(monkeypatch)
+    run_experiment(cfg, out_dir=str(tmp_path / "run"))
+    assert [seen[ds.images[i].tobytes()] for i in split.d_test] == [3] * split.d_test.size
+
+
+def test_evaluate_model_scores_each_image_once(monkeypatch):
+    ds = generate_synthetic(300, 3, (12, 12), 0.1, seed=3)
+    seen = _count_forward_images(monkeypatch)
+    evaluate_model(build_model(TINY_BB), ds)
+    assert sorted(seen.values()) == [1] * 300
 
 
 # -- checkpoints -------------------------------------------------------------
