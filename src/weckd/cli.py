@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .config import ConfigError, parse_config
@@ -57,9 +58,7 @@ def _cmd_eval(args):
     return 0
 
 
-def _cmd_report(args):
-    with open(f"{args.run_dir}/metrics.json") as f:
-        payload = json.load(f)
+def _render_run(payload):
     print(f"{'stage':<6}{'train_acc':>11}{'test_acc':>10}{'train_loss':>12}{'test_loss':>11}")
     prev = None
     for row in payload["progression"]:
@@ -72,6 +71,30 @@ def _cmd_report(args):
           f"risks: {['%.4f' % r for r in theory['risks']]}")
     print(f"KL(M2||M1)={theory['kl_m2_m1']:.5f}  KL(M3||M2)={theory['kl_m3_m2']:.5f}  "
           f"beta_hat={theory['beta_hat']}")
+
+
+def _read_json(path):
+    with open(path) as f:
+        return json.load(f)
+
+
+def _cmd_report(args):
+    summary_path = os.path.join(args.run_dir, "summary.json")
+    if not os.path.exists(summary_path):
+        _render_run(_read_json(os.path.join(args.run_dir, "metrics.json")))
+        return 0
+    # a multi-seed run: each seed's chain, then the summary across seeds
+    summary = _read_json(summary_path)
+    seeds = sorted(summary, key=int)
+    for seed in seeds:
+        print(f"seed {seed}")
+        _render_run(_read_json(os.path.join(args.run_dir, f"seed_{seed}", "metrics.json")))
+        print()
+    print(f"{'seed':<6}{'accuracy':>10}{'m1_to_m2':>10}{'m2_to_m3':>10}{'m1_to_m3':>10}")
+    for seed in seeds:
+        d = summary[seed]["deltas"]
+        print(f"{seed:<6}{summary[seed]['accuracy']:>10.4f}{d['m1_to_m2']:>+10.4f}"
+              f"{d['m2_to_m3']:>+10.4f}{d['m1_to_m3']:>+10.4f}")
     return 0
 
 

@@ -105,7 +105,12 @@ def parse_config(path) -> ExperimentConfig:
         train_raw["stage_attention"] = tuple(train_raw["stage_attention"])
     try:
         train = TrainConfig(distill=distill, **train_raw)
-    except (ContractError, TypeError) as exc:
+    except ContractError as exc:
+        # TrainConfig's messages start with the name of the field they reject
+        key = str(exc).split(" ", 1)[0]
+        path = f"$.train.{key}" if key in _TRAIN_KEYS else "$.train"
+        raise ConfigError(f"{path}: {exc}") from exc
+    except TypeError as exc:
         raise ConfigError(f"$.train: {exc}") from exc
 
     hyperopt = {**_DEFAULTS["hyperopt"], **merged["hyperopt"]}

@@ -213,15 +213,13 @@ def partition(dataset: LabeledDataset, seed, stratified=False) -> DatasetSplit:
     )
 
 
-def make_batches(dataset: LabeledDataset, indices, batch_size, shuffle_seed=None):
-    """Yield (image batch, label batch) pairs over `indices` in order or seeded order."""
+def make_batches(dataset: LabeledDataset, indices, batch_size):
+    """(image batch, label batch) pairs over `indices`, in order."""
     indices = np.asarray(indices)
     if indices.size == 0:
         raise ContractError("cannot batch an empty index set")
     if batch_size < 1:
         raise ContractError(f"batch_size must be >= 1, got {batch_size}")
-    if shuffle_seed is not None:
-        indices = indices[np.random.default_rng(shuffle_seed).permutation(indices.size)]
     out = []
     for start in range(0, indices.size, batch_size):
         chunk = indices[start:start + batch_size]

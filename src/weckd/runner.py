@@ -1,6 +1,7 @@
 """Experiment driver: config -> dataset -> chain run -> run-directory artifacts."""
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -104,6 +105,30 @@ def _metrics_payload(progression, test_logits, dataset, split):
     }
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield a temp path beside `path`; on a clean exit, rename it into place.
+
+    A crash never leaves a partial artifact under the final name."""
+    tmp = path + ".tmp"
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_json(path, payload):
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+
+
+def _write_text(path, text):
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _write_progression_csv(path, dataset_name, progression):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -141,14 +166,17 @@ def _run_one_seed(cfg, dataset, seed, out_dir):
     chain = run_chain(dataset, split, train_cfg, backbone)
     models = [r.model for r in chain.stage_results]
     for i, model in enumerate(models):
-        save_checkpoint(model, os.path.join(out_dir, f"m{i + 1}.wckd"))
+        with _replacing(os.path.join(out_dir, f"m{i + 1}.wckd")) as tmp:
+            save_checkpoint(model, tmp)
     progression, test_logits = score_chain(models, dataset, split)
     payload = _metrics_payload(progression, test_logits, dataset, split)
-    with open(os.path.join(out_dir, "metrics.json"), "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-    _write_progression_csv(os.path.join(out_dir, "chain_progression.csv"),
-                           _dataset_name(cfg), progression)
-    _write_timing_csv(os.path.join(out_dir, "timing.csv"), chain)
+    with _replacing(os.path.join(out_dir, "chain_progression.csv")) as tmp:
+        _write_progression_csv(tmp, _dataset_name(cfg), progression)
+    with _replacing(os.path.join(out_dir, "timing.csv")) as tmp:
+        _write_timing_csv(tmp, chain)
+    # written last: its presence marks the seed's run as finished
+    with _replacing(os.path.join(out_dir, "metrics.json")) as tmp:
+        _write_json(tmp, payload)
     return payload
 
 
@@ -156,8 +184,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run the chain for every seed in repeat_seeds; emit all run artifacts."""
     out_dir = out_dir or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "config_resolved.json"), "w") as f:
-        f.write(canonical_config(cfg))
+    with _replacing(os.path.join(out_dir, "config_resolved.json")) as tmp:
+        _write_text(tmp, canonical_config(cfg))
     dataset = load_dataset(cfg)
     if len(cfg.repeat_seeds) == 1:
         return _run_one_seed(cfg, dataset, cfg.repeat_seeds[0], out_dir)
@@ -166,8 +194,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
         payload = _run_one_seed(cfg, dataset, seed, os.path.join(out_dir, f"seed_{seed}"))
         summary[str(seed)] = {"accuracy": payload["accuracy"],
                               "deltas": payload["deltas"]}
-    with open(os.path.join(out_dir, "summary.json"), "w") as f:
-        json.dump(summary, f, indent=2, sort_keys=True)
+    with _replacing(os.path.join(out_dir, "summary.json")) as tmp:
+        _write_json(tmp, summary)
     return summary
 
 
@@ -193,7 +221,7 @@ def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
         return best["val_acc"]
 
     best, trials = run_study(objective, SearchSpace(), n_trials, cfg.hyperopt["seed"])
-    with open(os.path.join(out_dir, "trials.csv"), "w", newline="") as f:
+    with _replacing(os.path.join(out_dir, "trials.csv")) as tmp, open(tmp, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["trial_index", "eta", "alpha", "temp", "objective", "status"])
         for t in trials:
@@ -207,8 +235,8 @@ def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
                       distill=replace(base_train.distill, alpha=best.params[1],
                                       t_max=best.params[2])),
     )
-    with open(os.path.join(out_dir, "best-config.json"), "w") as f:
-        f.write(canonical_config(best_cfg))
+    with _replacing(os.path.join(out_dir, "best-config.json")) as tmp:
+        _write_text(tmp, canonical_config(best_cfg))
     return best, trials
 
 

@@ -44,39 +44,41 @@ def _out_size(n, k, stride, pad):
 
 
 def _im2col(x, k, stride, pad):
-    # x: (B, C, H, W) -> cols (B, Ho*Wo, C*k*k)
+    # x: (B, C, H, W) -> cols (B, C*k*k, Ho*Wo), rows in (c, i, j) order, so
+    # one matmul with the (F, C*k*k) kernel matrix gives (B, F, Ho*Wo) = NCHW
     B, C, H, W = x.shape
     Ho = _out_size(H, k, stride, pad)
     Wo = _out_size(W, k, stride, pad)
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    s = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(B, C, Ho, Wo, k, k),
-        strides=(s[0], s[1], s[2] * stride, s[3] * stride, s[2], s[3]),
-        writeable=False,
-    )
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(B, Ho * Wo, C * k * k)
-    return np.ascontiguousarray(cols), Ho, Wo
+    if pad:
+        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+        xp[:, :, pad:pad + H, pad:pad + W] = x
+    else:
+        xp = x
+    cols = np.empty((B, C, k, k, Ho, Wo))
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * (Ho - 1) + 1:stride,
+                                  j:j + stride * (Wo - 1) + 1:stride]
+    return cols.reshape(B, C * k * k, Ho * Wo), Ho, Wo
 
 
 def _col2im(dcols, xshape, k, stride, pad):
-    # dcols: (B, Ho*Wo, C*k*k) -> dx (B, C, H, W), scatter-add of patches
+    # dcols: (B, C*k*k, Ho*Wo) in _im2col's layout -> dx (B, C, H, W),
+    # the scatter-add of every patch back onto the input it was cut from
     B, C, H, W = xshape
     Ho = _out_size(H, k, stride, pad)
     Wo = _out_size(W, k, stride, pad)
+    d = dcols.reshape(B, C, k, k, Ho, Wo)
     dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
-    d = dcols.reshape(B, Ho, Wo, C, k, k).transpose(0, 3, 1, 2, 4, 5)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i:i + Ho * stride:stride, j:j + Wo * stride:stride] += d[:, :, :, :, i, j]
-    if pad:
-        dxp = dxp[:, :, pad:-pad, pad:-pad]
-    return dxp
+            dxp[:, :, i:i + stride * (Ho - 1) + 1:stride,
+                j:j + stride * (Wo - 1) + 1:stride] += d[:, :, i, j]
+    return dxp[:, :, pad:pad + H, pad:pad + W]
 
 
-def conv2d(x, w, b, stride=1, pad=0):
-    """Cross-correlation of x (B,C,H,W) with kernels w (F,C,k,k) plus bias."""
+def _conv2d_forward(x, w, b, stride, pad):
+    """Checked conv2d shared by the pure op and the tape: (out, cols)."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -96,8 +98,14 @@ def conv2d(x, w, b, stride=1, pad=0):
         raise ShapeError(f"kernel {k}x{k} larger than padded input {x.shape} with pad={pad}")
     cols, Ho, Wo = _im2col(x, k, stride, pad)
     F = w.shape[0]
-    out = cols @ w.reshape(F, -1).T + b
-    return out.transpose(0, 2, 1).reshape(x.shape[0], F, Ho, Wo)
+    out = np.matmul(w.reshape(F, -1), cols)
+    out += b.reshape(F, 1)
+    return out.reshape(x.shape[0], F, Ho, Wo), cols
+
+
+def conv2d(x, w, b, stride=1, pad=0):
+    """Cross-correlation of x (B,C,H,W) with kernels w (F,C,k,k) plus bias."""
+    return _conv2d_forward(x, w, b, stride, pad)[0]
 
 
 def relu(x):
@@ -120,36 +128,19 @@ def softmax(z):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def maxpool2(x):
-    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped."""
+def _pool_views(x):
+    """The four stride-2 views of x's 2x2 windows, in row-major window order."""
     B, C, H, W = x.shape
     H2, W2 = H // 2, W // 2
     if H2 == 0 or W2 == 0:
         raise ShapeError(f"maxpool2 needs spatial size >= 2, got {x.shape}")
-    xc = x[:, :, :H2 * 2, :W2 * 2]
-    win = xc.reshape(B, C, H2, 2, W2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H2, W2, 4)
-    return win.max(axis=-1)
+    return [x[:, :, i:2 * H2:2, j:2 * W2:2] for i in (0, 1) for j in (0, 1)]
 
 
-def _maxpool2_with_arg(x):
-    B, C, H, W = x.shape
-    H2, W2 = H // 2, W // 2
-    xc = x[:, :, :H2 * 2, :W2 * 2]
-    win = xc.reshape(B, C, H2, 2, W2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H2, W2, 4)
-    arg = win.argmax(axis=-1)  # first max wins: row-major lowest index
-    return win.max(axis=-1), arg
-
-
-def _maxpool2_backward(g, arg, xshape):
-    B, C, H, W = xshape
-    H2, W2 = H // 2, W // 2
-    dwin = np.zeros((B, C, H2, W2, 4))
-    np.put_along_axis(dwin, arg[..., None], g[..., None], axis=-1)
-    dx = np.zeros(xshape)
-    dx[:, :, :H2 * 2, :W2 * 2] = (
-        dwin.reshape(B, C, H2, W2, 2, 2).transpose(0, 1, 2, 4, 3, 5).reshape(B, C, H2 * 2, W2 * 2)
-    )
-    return dx
+def maxpool2(x):
+    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped."""
+    v = _pool_views(x)
+    return np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
 
 
 def dense(x, w, b):
@@ -224,20 +215,18 @@ class Tape:
     # -- recorded ops -------------------------------------------------------
 
     def conv2d(self, x, w, b, stride=1, pad=0):
-        out = conv2d(x.value, w.value, b.value, stride=stride, pad=pad)
-        xv, wv = x.value, w.value
-        k = wv.shape[2]
-        F = wv.shape[0]
-        cols, Ho, Wo = _im2col(xv, k, stride, pad)
+        out, cols = _conv2d_forward(x.value, w.value, b.value, stride, pad)
+        xshape, wshape = x.value.shape, w.value.shape
+        w2 = w.value.reshape(wshape[0], -1)
 
         def vjp_x(g):
-            g2 = g.reshape(g.shape[0], F, -1).transpose(0, 2, 1)  # (B, Ho*Wo, F)
-            dcols = g2 @ wv.reshape(F, -1)
-            return _col2im(dcols, xv.shape, k, stride, pad)
+            dcols = np.matmul(w2.T, g.reshape(g.shape[0], wshape[0], -1))
+            return _col2im(dcols, xshape, wshape[2], stride, pad)
 
         def vjp_w(g):
-            g2 = g.reshape(g.shape[0], F, -1).transpose(0, 2, 1)
-            return np.einsum("bpf,bpc->fc", g2, cols).reshape(wv.shape)
+            # per-image (F, Ho*Wo) @ (Ho*Wo, C*k*k), summed over the batch
+            g3 = g.reshape(g.shape[0], wshape[0], -1)
+            return np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wshape)
 
         def vjp_b(g):
             return g.sum(axis=(0, 2, 3))
@@ -249,9 +238,23 @@ class Tape:
         return self._add(_Node(x.value * mask, ((x, lambda g: g * mask),)))
 
     def maxpool2(self, x):
-        out, arg = _maxpool2_with_arg(x.value)
+        views = _pool_views(x.value)
+        out = maxpool2(x.value)
+        # one mask per window position; on ties the first (row-major) max wins
+        masks, taken = [], np.zeros(out.shape, dtype=bool)
+        for v in views:
+            m = (v == out) & ~taken
+            taken |= m
+            masks.append(m)
         shape = x.value.shape
-        return self._add(_Node(out, ((x, lambda g: _maxpool2_backward(g, arg, shape)),)))
+
+        def vjp(g):
+            dx = np.zeros(shape)
+            for dv, m in zip(_pool_views(dx), masks):
+                np.multiply(g, m, out=dv)
+            return dx
+
+        return self._add(_Node(out, ((x, vjp),)))
 
     def dense(self, x, w, b):
         out = dense(x.value, w.value, b.value)
@@ -302,7 +305,8 @@ class Tape:
         """Reverse sweep from `root`; returns {param name -> gradient}.
 
         With seed_grad omitted, `root` must be a scalar loss (seed 1).
-        Parameters not reachable from `root` get zero gradients.
+        Parameters not reachable from `root` get zero gradients. Constant
+        leaves (`const`) get none: their VJPs are never run.
         """
         if seed_grad is None:
             if np.asarray(root.value).size != 1:
@@ -321,6 +325,8 @@ class Tape:
             if g is None:
                 continue
             for parent, fn in node.vjps:
+                if parent.name is None and not parent.vjps:
+                    continue  # a constant leaf: nothing reads its gradient
                 contrib = fn(g)
                 prev = grads.get(id(parent))
                 grads[id(parent)] = contrib if prev is None else prev + contrib

@@ -117,7 +117,8 @@ def suggest(history, space: SearchSpace, trial_seed):
 def run_study(objective_fn, space: SearchSpace, n_trials, seed):
     """Sequential TPE study maximizing objective_fn(eta, alpha, temp).
 
-    Non-finite objectives or exceptions mark the trial failed; failed trials
+    Non-finite objectives or an ArithmeticError, RuntimeError or ValueError
+    (ShapeError included) mark the trial failed; failed trials
     are excluded from density fitting. Returns (best TrialRecord, all records).
     """
     if n_trials < 1:
@@ -128,7 +129,7 @@ def run_study(objective_fn, space: SearchSpace, n_trials, seed):
         try:
             value = float(objective_fn(*params))
             status = "complete" if np.isfinite(value) else "failed"
-        except (ArithmeticError, RuntimeError) as exc:
+        except (ArithmeticError, RuntimeError, ValueError) as exc:
             warnings.warn(f"trial {i} failed: {exc}", stacklevel=2)
             value, status = float("nan"), "failed"
         history.append(TrialRecord(i, params, value, status))

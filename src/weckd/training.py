@@ -3,6 +3,7 @@ frozen teachers, LR plateau decay, early stopping, checkpointing, timing capture
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import struct
 import time
@@ -65,6 +66,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("batch_size", "max_epochs"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
         if self.patience < 1:
             raise ContractError(f"patience must be >= 1, got {self.patience}")
         if not 0.0 < self.lr_decay_factor < 1.0:
@@ -187,6 +192,12 @@ def _carve_validation(indices):
     return indices[:-n_val], indices[-n_val:]
 
 
+def _epoch_order(cfg, stage_index, epoch, n):
+    """The seeded order in which one epoch visits a stage's n training images."""
+    seed = (cfg.seed * 1_000_003 + stage_index * 7919 + epoch) & 0xFFFFFFFF
+    return np.random.default_rng(seed).permutation(n)
+
+
 def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=None):
     k = model.num_classes
     params = {name: v.copy() for name, v in model.params.items()}
@@ -201,14 +212,22 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
     steps_per_epoch = int(np.ceil(train_idx.size / cfg.batch_size))
 
     teacher_digest = param_digest(teacher) if teacher is not None else None
+    teacher_z = None
+    if teacher is not None:
+        # the teacher is frozen and training has no augmentation, so every
+        # epoch would see these logits; chunks of 256 bound the memory
+        teacher_z = np.concatenate([forward(teacher, x)[2]
+                                    for x, _ in make_batches(dataset, train_idx, 256)])
 
     for epoch in range(cfg.max_epochs):
         temp = anneal_temperature(epoch, cfg.max_epochs, dp.t_max, dp.t_min)
-        shuffle_seed = (cfg.seed * 1_000_003 + stage_index * 7919 + epoch) & 0xFFFFFFFF
-        batches = make_batches(dataset, train_idx, cfg.batch_size, shuffle_seed=shuffle_seed)
+        order = _epoch_order(cfg, stage_index, epoch, train_idx.size)
         epoch_loss = 0.0
         epoch_correct = 0
-        for bi, (x, y) in enumerate(batches):
+        for bi, start in enumerate(range(0, order.size, cfg.batch_size)):
+            rows = order[start:start + cfg.batch_size]  # positions in train_idx and teacher_z
+            idx = train_idx[rows]
+            x, y = dataset.images[idx], dataset.labels[idx]
             t0 = time.perf_counter()
             y1 = _one_hot(y, k)
             work = Model(model.config, params)
@@ -219,7 +238,7 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
                 loss, _, _ = hybrid_loss(z, z, y1, 1.0, 1.0)
                 dz = hybrid_loss_grad(z, z, y1, 1.0, 1.0)
             else:
-                zt = forward(teacher, x)[2]
+                zt = teacher_z[rows]
                 tsc = dp.t_squared_compensation
                 loss, _, _ = hybrid_loss(z, zt, y1, dp.alpha, temp, t_squared_compensation=tsc)
                 dz = hybrid_loss_grad(z, zt, y1, dp.alpha, temp, t_squared_compensation=tsc)

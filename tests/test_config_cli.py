@@ -107,6 +107,17 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     assert [row["stage"] for row in payload["progression"]] == ["M1", "M2", "M3"]
 
 
+@pytest.mark.parametrize("key", ["batch_size", "max_epochs"])
+@pytest.mark.parametrize("value", [0, 2.5])
+def test_train_bad_count_is_usage_error_naming_the_key(tmp_path, capsys, key, value):
+    doc = json.loads(json.dumps(TINY_EXPERIMENT))
+    doc["train"][key] = value
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
+    assert f"$.train.{key}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_train_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "none.json")]) in (1, 2)
 
@@ -261,6 +272,24 @@ def test_report_renders_progression(tmp_path, capsys):
     assert main(["report", out_dir]) == 0
     text = capsys.readouterr().out
     assert "M1" in text and "M3" in text and "risk hierarchy" in text
+
+
+def test_report_renders_every_seed_of_a_multi_seed_run(tmp_path, capsys):
+    doc = dict(TINY_EXPERIMENT, repeat_seeds=[10, 2])
+    out_dir = str(tmp_path / "run")
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", out_dir]) == 0
+    capsys.readouterr()
+    assert main(["report", out_dir]) == 0
+    text = capsys.readouterr().out
+    assert text.index("seed 2") < text.index("seed 10")
+    assert text.count("risk hierarchy") == 2
+    summary = json.load(open(os.path.join(out_dir, "summary.json")))
+    table = text[text.index("m1_to_m3"):].splitlines()[1:]
+    assert [row.split()[0] for row in table] == ["2", "10"]
+    for row in table:
+        seed = row.split()[0]
+        assert row.split()[1] == f"{summary[seed]['accuracy']:.4f}"
+        assert row.split()[4] == f"{summary[seed]['deltas']['m1_to_m3']:+.4f}"
 
 
 def test_missing_checkpoint_is_runtime_error(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -241,3 +243,109 @@ def test_backbone_gradients_deterministic():
     g2 = grad(model.params)
     for name in g1:
         np.testing.assert_array_equal(g1[name], g2[name])
+
+
+# -- kernels against naive loops -----------------------------------------------
+
+def _naive_conv2d(x, w, b, stride, pad):
+    B, C, H, W = x.shape
+    F, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    Ho, Wo = (H + 2 * pad - k) // stride + 1, (W + 2 * pad - k) // stride + 1
+    out = np.empty((B, F, Ho, Wo))
+    for n in range(B):
+        for f in range(F):
+            for i in range(Ho):
+                for j in range(Wo):
+                    patch = xp[n, :, i * stride:i * stride + k, j * stride:j * stride + k]
+                    out[n, f, i, j] = (patch * w[f]).sum() + b[f]
+    return out
+
+
+def _naive_maxpool2(x):
+    B, C, H, W = x.shape
+    out = np.empty((B, C, H // 2, W // 2))
+    for i in range(H // 2):
+        for j in range(W // 2):
+            out[:, :, i, j] = x[:, :, 2 * i:2 * i + 2, 2 * j:2 * j + 2].max(axis=(2, 3))
+    return out
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_conv2d_matches_naive_loop_odd_sizes(stride, pad):
+    rng = np.random.default_rng(stride * 10 + pad)
+    x = rng.normal(size=(2, 3, 7, 5))
+    w = rng.normal(size=(4, 3, 3, 3))
+    b = rng.normal(size=4)
+    np.testing.assert_allclose(conv2d(x, w, b, stride=stride, pad=pad),
+                               _naive_conv2d(x, w, b, stride, pad), atol=1e-12)
+
+
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("pad", [0, 1])
+def test_taped_conv2d_gradients_match_finite_differences(stride, pad):
+    rng = np.random.default_rng(7 + stride * 10 + pad)
+    params = {"x": rng.normal(size=(2, 2, 7, 5)), "w": rng.normal(size=(3, 2, 3, 3)),
+              "b": rng.normal(size=3)}
+    weights = rng.normal(size=conv2d(params["x"], params["w"], params["b"],
+                                     stride=stride, pad=pad).shape)
+
+    def fwd(p):
+        return float((conv2d(p["x"], p["w"], p["b"], stride=stride, pad=pad) * weights).sum())
+
+    def grad(p):
+        tape = Tape()
+        out = tape.conv2d(*(tape.param(k, p[k]) for k in ("x", "w", "b")), stride=stride, pad=pad)
+        return tape.backward(out, weights)
+
+    assert finite_diff_check(fwd, grad, params, eps=1e-5) < 1e-6
+
+
+def test_maxpool_forward_and_backward_match_naive_loop_odd_sizes():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(2, 3, 7, 5))
+    np.testing.assert_array_equal(maxpool2(x), _naive_maxpool2(x))
+    g = rng.normal(size=(2, 3, 3, 2))
+    tape = Tape()
+    xn = tape.param("x", x)
+    grads = tape.backward(tape.maxpool2(xn), g)
+    want = np.zeros_like(x)
+    for n in range(2):
+        for c in range(3):
+            for i in range(3):
+                for j in range(2):
+                    win = x[n, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                    r, s = np.unravel_index(np.argmax(win), (2, 2))
+                    want[n, c, 2 * i + r, 2 * j + s] = g[n, c, i, j]
+    np.testing.assert_array_equal(grads["x"], want)  # dropped odd row/column get 0
+
+
+def test_backward_never_calls_a_constant_leafs_vjp(monkeypatch):
+    import weckd.tensor
+    cfg = BackboneConfig(input_size=(8, 8, 1), conv_blocks=(2, 3, 4), fc_width=4,
+                         num_classes=3, attention_enabled=True)
+    model = build_model(cfg)
+    tape = Tape()
+    logits = forward_on_tape(model, tape, np.random.default_rng(0).random((2, 1, 8, 8)))
+    calls = Counter()
+
+    def counted(fn, constant):
+        def wrapped(g):
+            calls[constant] += 1
+            return fn(g)
+        return wrapped
+
+    for node in tape._nodes:
+        node.vjps = tuple((p, counted(fn, p.name is None and not p.vjps)) for p, fn in node.vjps)
+    col2im = Counter()
+    real = weckd.tensor._col2im
+
+    def counting_col2im(*args):
+        col2im["calls"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(weckd.tensor, "_col2im", counting_col2im)
+    tape.backward(logits, np.ones((2, 3)))
+    assert calls[True] == 0 and calls[False] > 0
+    assert col2im["calls"] == 2  # blocks 1 and 2; block 0's input is the image

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from weckd.tensor import ShapeError
 from weckd.tpe import SearchSpace, StudyError, TrialRecord, run_study, suggest
 
 
@@ -87,6 +88,22 @@ def test_run_study_marks_failures_and_keeps_going():
     statuses = [t.status for t in trials]
     assert statuses[:2] == ["failed", "failed"]
     assert best.objective == max(t.objective for t in trials if t.status == "complete")
+
+
+def test_run_study_marks_a_shape_error_trial_failed():
+    calls = []
+
+    def objective(eta, alpha, temp):
+        calls.append(alpha)
+        if len(calls) == 2:
+            raise ShapeError("kernel 3x3 larger than padded input")
+        return alpha
+
+    with pytest.warns(UserWarning, match="trial 1 failed"):
+        best, trials = run_study(objective, SearchSpace(), 4, seed=2)
+    assert [t.status for t in trials] == ["complete", "failed", "complete", "complete"]
+    assert np.isnan(trials[1].objective)
+    assert best.status == "complete"
 
 
 def test_run_study_all_failed_raises():

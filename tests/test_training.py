@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 from collections import Counter
 from dataclasses import replace
@@ -246,6 +247,49 @@ def test_logits_loss_matches_evaluate_bit_for_bit():
     assert loss_accuracy(logits_of(model, ds, idx), ds.labels) == evaluate(model, ds, idx)
 
 
+def test_epoch_order_is_a_seeded_permutation():
+    cfg = fast_cfg(seed=4)
+    order = weckd.training._epoch_order(cfg, 1, 0, 10)
+    np.testing.assert_array_equal(np.sort(order), np.arange(10))
+    np.testing.assert_array_equal(order, weckd.training._epoch_order(cfg, 1, 0, 10))
+    others = [weckd.training._epoch_order(c, s, e, 10)
+              for c, s, e in ((cfg, 1, 1), (cfg, 2, 0), (fast_cfg(seed=5), 1, 0))]
+    assert not any(np.array_equal(order, o) for o in others)
+
+
+def test_teacher_scores_each_training_image_once_per_stage(monkeypatch):
+    ds, split = tiny_setup(n=200)
+    teacher = build_model(TINY_BB)
+    seen = Counter()
+    real = weckd.training.forward
+
+    def counting(model, batch):
+        if model is teacher:
+            seen.update(row.tobytes() for row in np.asarray(batch))
+        return real(model, batch)
+
+    monkeypatch.setattr(weckd.training, "forward", counting)
+    subset = split.d2
+    train_distill_stage(build_model(replace(TINY_BB, init_seed=1)), teacher, subset, ds,
+                        fast_cfg(max_epochs=3, batch_size=4), stage_index=1)
+    train_idx, val_idx = weckd.training._carve_validation(subset)
+    assert [seen[ds.images[i].tobytes()] for i in train_idx] == [1] * train_idx.size
+    assert sum(seen[ds.images[i].tobytes()] for i in val_idx) == 0
+
+
+def test_forward_logits_do_not_depend_on_the_batch_size():
+    # the teacher's logits are scored once per stage in chunks of 256 and
+    # then indexed per training batch; this holds only if a row's logits are
+    # the same bits whatever batch it is scored in
+    from weckd.backbone import forward
+    x = np.random.default_rng(0).random((144, 1, 32, 32))
+    for attention in (False, True):
+        model = build_model(BackboneConfig(input_size=(32, 32, 1), attention_enabled=attention))
+        whole = forward(model, x)[2]
+        chunked = np.concatenate([forward(model, x[s:s + 16])[2] for s in range(0, 144, 16)])
+        np.testing.assert_array_equal(whole, chunked)
+
+
 # -- scoring passes ------------------------------------------------------------
 
 def _count_forward_images(monkeypatch):
@@ -283,6 +327,66 @@ def test_evaluate_model_scores_each_image_once(monkeypatch):
     seen = _count_forward_images(monkeypatch)
     evaluate_model(build_model(TINY_BB), ds)
     assert sorted(seen.values()) == [1] * 300
+
+
+# -- run artifacts -------------------------------------------------------------
+
+def _tiny_experiment(tmp_path, seeds):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dataset": {"synthetic": {"n": 60, "classes": 3, "height": 12, "width": 12,
+                                  "noise_std": 0.1, "seed": 0}},
+        "backbone": {"conv_blocks": [4, 6], "fc_width": 8},
+        "train": {"max_epochs": 1, "batch_size": 8},
+        "repeat_seeds": seeds,
+    }))
+    return parse_config(str(path))
+
+
+@pytest.mark.parametrize("seeds,last", [([0], "metrics.json"), ([0, 1], "summary.json")])
+def test_artifacts_are_renamed_into_place_with_the_marker_last(tmp_path, monkeypatch, seeds, last):
+    import weckd.runner
+    replaced = []
+    real = weckd.runner.os.replace
+
+    def recording(src, dst):
+        assert src == dst + ".tmp"
+        replaced.append(os.path.relpath(dst, tmp_path / "run"))
+        real(src, dst)
+
+    monkeypatch.setattr(weckd.runner.os, "replace", recording)
+    run_experiment(_tiny_experiment(tmp_path, seeds), out_dir=str(tmp_path / "run"))
+    assert replaced[-1] == last
+    for seed_dir in {os.path.dirname(p) for p in replaced if p.endswith(".wckd")}:
+        in_dir = [p for p in replaced if os.path.dirname(p) == seed_dir
+                  and p not in ("config_resolved.json", "summary.json")]
+        assert os.path.basename(in_dir[-1]) == "metrics.json"
+    written = sorted(os.path.relpath(os.path.join(d, f), tmp_path / "run")
+                     for d, _, files in os.walk(tmp_path / "run") for f in files)
+    assert written == sorted(replaced)  # every file was renamed in; no temp file is left
+
+
+def test_crashed_run_leaves_no_metrics_and_no_partial_file(tmp_path, monkeypatch):
+    import weckd.runner
+
+    def crash(*args):
+        raise RuntimeError("killed while scoring")
+
+    monkeypatch.setattr(weckd.runner, "score_chain", crash)
+    with pytest.raises(RuntimeError):
+        run_experiment(_tiny_experiment(tmp_path, [0]), out_dir=str(tmp_path / "run"))
+    assert sorted(os.listdir(tmp_path / "run")) == [
+        "config_resolved.json", "m1.wckd", "m2.wckd", "m3.wckd"]
+
+    def torn_write(model, path):
+        with open(path, "wb") as f:
+            f.write(b"WCKD")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(weckd.runner, "save_checkpoint", torn_write)
+    with pytest.raises(OSError):
+        run_experiment(_tiny_experiment(tmp_path, [0]), out_dir=str(tmp_path / "run2"))
+    assert sorted(os.listdir(tmp_path / "run2")) == ["config_resolved.json"]
 
 
 # -- checkpoints -------------------------------------------------------------
@@ -344,3 +448,7 @@ def test_train_config_validation():
         TrainConfig(lr_decay_factor=1.5)
     with pytest.raises(ContractError):
         TrainConfig(stage_attention=(True, False))
+    with pytest.raises(ContractError, match="batch_size"):
+        TrainConfig(batch_size=0)
+    with pytest.raises(ContractError, match="max_epochs"):
+        TrainConfig(max_epochs=0)
