@@ -5,7 +5,7 @@ student learning from hard labels plus its frozen predecessor's
 temperature-softened predictions, with an attention-augmented CNN backbone
 and TPE hyperparameter search.
 """
-from .backbone import BackboneConfig, Model, build_model, copy_attention_weights
+from .backbone import BackboneConfig, Model, build_model
 from .data import DatasetSplit, LabeledDataset, generate_synthetic, load_idx, partition, write_idx
 from .losses import DistillParams, anneal_temperature, ce_loss, hybrid_loss, kd_loss, softmax_temperature
 from .metrics import confusion_matrix, prf1, roc_auc_ovr, theory_report

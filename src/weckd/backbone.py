@@ -1,4 +1,4 @@
-"""Classifier backbone: conv blocks -> (optional spatial attention) -> GAP -> FC -> softmax head."""
+"""Classifier backbone: conv blocks -> (optional spatial attention) -> GAP -> FC -> logits."""
 from __future__ import annotations
 
 import hashlib
@@ -15,7 +15,6 @@ __all__ = [
     "build_model",
     "forward",
     "forward_on_tape",
-    "copy_attention_weights",
     "param_digest",
 ]
 
@@ -62,9 +61,6 @@ class Model:
     def num_classes(self):
         return self.config.num_classes
 
-    def copy(self):
-        return Model(self.config, {k: v.copy() for k, v in self.params.items()})
-
 
 def build_model(config: BackboneConfig) -> Model:
     """Seeded He-style init: weights ~ N(0, 2/fan_in), biases 0."""
@@ -102,7 +98,7 @@ def _as_batch(model, batch):
 def _layers(ops, p, x, config):
     """The network, defined once: conv->relu->pool per block, the optional
     spatial gate, GAP, FC-relu, FC. `ops` is the `tensor` module (inference,
-    arrays) or a `Tape` (training, nodes). Returns (features, logits)."""
+    arrays) or a `Tape` (training, nodes). Returns the logits."""
     for i in range(len(config.conv_blocks)):
         x = ops.conv2d(x, p[f"conv{i}_w"], p[f"conv{i}_b"], stride=1, pad=1)
         x = ops.relu(x)
@@ -111,14 +107,12 @@ def _layers(ops, p, x, config):
         scores = ops.attention_scores(x, p["w_att"], p["b_att"])
         x = ops.scale_spatial(x, scores)
     fc = ops.relu(ops.dense(ops.gap(x), p["w1"], p["b1"]))
-    return x, ops.dense(fc, p["w2"], p["b2"])
+    return ops.dense(fc, p["w2"], p["b2"])
 
 
 def forward(model, batch):
-    """Inference pass. Returns (pre-GAP features, probs, logits); the features
-    are gated when the model has attention enabled."""
-    features, logits = _layers(T, model.params, _as_batch(model, batch), model.config)
-    return features, T.softmax(logits), logits
+    """Inference pass; returns the logits."""
+    return _layers(T, model.params, _as_batch(model, batch), model.config)
 
 
 def forward_on_tape(model, tape, batch):
@@ -129,21 +123,7 @@ def forward_on_tape(model, tape, batch):
     """
     batch = _as_batch(model, batch)
     nodes = {k: tape.param(k, v) for k, v in model.params.items()}
-    return _layers(tape, nodes, tape.const(batch), model.config)[1]
-
-
-def copy_attention_weights(teacher: Model, student: Model) -> Model:
-    """Return a student copy with the teacher's attention gate weights."""
-    t_c = teacher.config.feature_shape()[0]
-    s_c = student.config.feature_shape()[0]
-    if t_c != s_c:
-        raise ShapeError(
-            f"attention channel mismatch: teacher has {t_c} feature channels, student has {s_c}"
-        )
-    out = student.copy()
-    out.params["w_att"] = teacher.params["w_att"].copy()
-    out.params["b_att"] = teacher.params["b_att"].copy()
-    return out
+    return _layers(tape, nodes, tape.const(batch), model.config)
 
 
 def param_digest(model: Model) -> str:

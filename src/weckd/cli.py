@@ -75,7 +75,10 @@ def _render_run(payload):
 
 def _read_json(path):
     with open(path) as f:
-        return json.load(f)
+        try:
+            return json.load(f)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise RuntimeError(f"malformed JSON in {path}: {exc}") from None
 
 
 def _cmd_report(args):

@@ -1,8 +1,9 @@
 """Strict JSON experiment configuration: unknown keys rejected, defaults filled."""
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .losses import DistillParams
 from .tensor import ContractError
@@ -39,10 +40,8 @@ _DEFAULTS = {
     "repeat_seeds": [0],
 }
 
-_TRAIN_KEYS = {"learning_rate", "batch_size", "max_epochs", "patience",
-               "lr_decay_factor", "lr_patience", "momentum", "distill",
-               "stage_attention", "seed"}
-_DISTILL_KEYS = {"alpha", "t_max", "t_min", "t_squared_compensation"}
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
+_DISTILL_KEYS = {f.name for f in dataclasses.fields(DistillParams)}
 _BACKBONE_KEYS = {"conv_blocks", "fc_width"}
 _HYPEROPT_KEYS = {"enabled", "n_trials", "seed"}
 
@@ -135,29 +134,4 @@ def parse_config(path) -> ExperimentConfig:
 
 def canonical_config(cfg: ExperimentConfig) -> str:
     """Canonical JSON snapshot; re-parsing it reproduces the config exactly."""
-    doc = {
-        "dataset": cfg.dataset,
-        "partition_seed": cfg.partition_seed,
-        "backbone": cfg.backbone,
-        "train": {
-            "learning_rate": cfg.train.learning_rate,
-            "batch_size": cfg.train.batch_size,
-            "max_epochs": cfg.train.max_epochs,
-            "patience": cfg.train.patience,
-            "lr_decay_factor": cfg.train.lr_decay_factor,
-            "lr_patience": cfg.train.lr_patience,
-            "momentum": cfg.train.momentum,
-            "distill": {
-                "alpha": cfg.train.distill.alpha,
-                "t_max": cfg.train.distill.t_max,
-                "t_min": cfg.train.distill.t_min,
-                "t_squared_compensation": cfg.train.distill.t_squared_compensation,
-            },
-            "stage_attention": list(cfg.train.stage_attention),
-            "seed": cfg.train.seed,
-        },
-        "hyperopt": cfg.hyperopt,
-        "output_dir": cfg.output_dir,
-        "repeat_seeds": cfg.repeat_seeds,
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True)

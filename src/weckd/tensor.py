@@ -1,7 +1,7 @@
 """Dense float64 tensor ops with a taped reverse-mode backward pass.
 
 The op set is deliberately closed: exactly the primitives the classifier
-backbone needs (conv2d, relu, 2x2 maxpool, dense, GAP, softmax, and a
+backbone needs (conv2d, relu, 2x2 maxpool, dense, GAP, and a
 spatial attention gate with its per-location scaling). The pure functions
 and the `Tape` methods share names, so the backbone's one layer sequence
 runs on either. No general computation graph.
@@ -120,12 +120,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def softmax(z):
-    z = np.asarray(z, dtype=np.float64)
-    e = np.exp(z - z.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _pool_views(x):

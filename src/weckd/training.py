@@ -16,7 +16,6 @@ from .backbone import (
     BackboneConfig,
     Model,
     build_model,
-    copy_attention_weights,
     forward,
     forward_on_tape,
     param_digest,
@@ -85,7 +84,6 @@ class StageResult:
     stopped_epoch: int
     steps_per_epoch: int
     ms_per_step: float
-    hyperparams: dict
 
 
 @dataclass
@@ -121,45 +119,38 @@ def _ce_correct(probs, y):
     return ce.sum(), (probs.argmax(axis=1) == y).sum(), y.size
 
 
-def _mean_loss_acc(parts):
-    # per-batch sums added in batch order, so every path gives the same bits
-    loss_sum = sum(p[0] for p in parts)
-    correct = sum(p[1] for p in parts)
-    total = sum(p[2] for p in parts)
-    return loss_sum / total, correct / total
+def _logits(model, dataset, indices, batch_size):
+    """`forward` over `indices` in batches of `batch_size`, stacked; the
+    batches run on a WECKD_THREADS pool when it is > 1."""
+    batches = make_batches(dataset, indices, batch_size)
+    return np.concatenate(_map_batches(lambda item: forward(model, item[0]), batches), axis=0)
 
 
 def evaluate(model, dataset, indices, batch_size=256):
-    """Mean CE loss and accuracy over `indices` (pure inference).
-
-    WECKD_THREADS > 1 evaluates batches on a thread pool; per-batch sums are
-    reduced in batch order, so results match the sequential path.
-    """
-    def score(item):
-        x, y = item
-        return _ce_correct(forward(model, x)[1], y)
-
-    return _mean_loss_acc(_map_batches(score, make_batches(dataset, indices, batch_size)))
+    """Mean CE loss and accuracy over `indices` (pure inference)."""
+    logits = _logits(model, dataset, indices, batch_size)
+    return loss_accuracy(logits, dataset.labels[np.asarray(indices)], batch_size)
 
 
 def logits_of(model, dataset, indices, batch_size=256):
     """Stacked logits over `indices`, inference mode (WECKD_THREADS pool as in evaluate)."""
-    batches = make_batches(dataset, indices, batch_size)
-    return np.concatenate(_map_batches(lambda item: forward(model, item[0])[2], batches), axis=0)
+    return _logits(model, dataset, indices, batch_size)
 
 
 def loss_accuracy(logits, labels, batch_size=256):
-    """`evaluate`'s loss and accuracy from logits `logits_of` already computed.
+    """Mean CE loss and accuracy of `logits` against `labels`.
 
-    The batch size must be the one the logits were scored at: the loss sums
-    per-batch CE in the same chunks and order, so it matches `evaluate` bit
-    for bit.
+    The CE is summed per chunk of `batch_size` rows and the chunk sums are
+    added in order, so logits from `logits_of` at `evaluate`'s batch size
+    give `evaluate`'s loss bit for bit.
     """
     labels = np.asarray(labels)
-    return _mean_loss_acc([
-        _ce_correct(T.softmax(logits[s:s + batch_size]), labels[s:s + batch_size])
+    parts = [
+        _ce_correct(softmax_temperature(logits[s:s + batch_size], 1.0), labels[s:s + batch_size])
         for s in range(0, labels.size, batch_size)
-    ])
+    ]
+    total = sum(p[2] for p in parts)
+    return sum(p[0] for p in parts) / total, sum(p[1] for p in parts) / total
 
 
 def scheduler_step(val_losses, lr, cfg: TrainConfig, decays_done=0):
@@ -216,8 +207,7 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
     if teacher is not None:
         # the teacher is frozen and training has no augmentation, so every
         # epoch would see these logits; chunks of 256 bound the memory
-        teacher_z = np.concatenate([forward(teacher, x)[2]
-                                    for x, _ in make_batches(dataset, train_idx, 256)])
+        teacher_z = _logits(teacher, dataset, train_idx, 256)
 
     for epoch in range(cfg.max_epochs):
         temp = anneal_temperature(epoch, cfg.max_epochs, dp.t_max, dp.t_min)
@@ -250,7 +240,7 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
             params, velocity = T.sgd_step(params, grads, lr, cfg.momentum, velocity)
             step_times.append(time.perf_counter() - t0)
             epoch_loss += loss * y.size
-            epoch_correct += int((softmax_temperature(z, 1.0).argmax(axis=1) == y).sum())
+            epoch_correct += int((z.argmax(axis=1) == y).sum())
 
         val_loss, val_acc = evaluate(Model(model.config, params), dataset, val_idx)
         curves.append({
@@ -276,14 +266,6 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
         stopped_epoch=len(curves),
         steps_per_epoch=steps_per_epoch,
         ms_per_step=float(np.mean(step_times) * 1000.0),
-        hyperparams={
-            "learning_rate": cfg.learning_rate,
-            "alpha": dp.alpha,
-            "t_max": dp.t_max,
-            "t_min": dp.t_min,
-            "momentum": cfg.momentum,
-            "batch_size": cfg.batch_size,
-        },
     )
 
 
@@ -357,12 +339,10 @@ def run_chain(dataset: LabeledDataset, split: DatasetSplit, cfg: TrainConfig,
         if teacher is not None:
             # each student inherits its predecessor's trained extractor and
             # head instead of relearning them from its own 10% slice; the
-            # attention gate is copied only when the teacher trained one
-            for name, value in teacher.params.items():
-                if name not in ("w_att", "b_att"):
-                    model.params[name] = value.copy()
-            if teacher.attention_enabled and model.attention_enabled:
-                model = copy_attention_weights(teacher, model)
+            # attention gate only when both use one (else it keeps its init)
+            gate = teacher.attention_enabled and model.attention_enabled
+            model.params.update({name: value.copy() for name, value in teacher.params.items()
+                                 if gate or name not in ("w_att", "b_att")})
         if i == 0:
             result = train_stage1(model, subsets[i], dataset, cfg)
         else:

@@ -100,7 +100,7 @@ def test_gradient_oracle_full_backbone():
 
             def loss_of(params):
                 from weckd.backbone import Model
-                z = forward(Model(model.config, params), x)[2]
+                z = forward(Model(model.config, params), x)
                 return hybrid_loss(z, z, y, 1.0, 1.0)[0]
 
             def grad_of(params):
@@ -273,7 +273,7 @@ def test_serialization_round_trips(tmp_path):
     save_checkpoint(model, p1)
     back = load_checkpoint(p1)
     x = np.random.default_rng(0).uniform(0, 1, size=(4, 1, 16, 16))
-    diff = np.abs(forward(model, x)[2] - forward(back, x)[2]).max()
+    diff = np.abs(forward(model, x) - forward(back, x)).max()
     assert diff <= 1e-6
     save_checkpoint(back, p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()

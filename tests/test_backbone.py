@@ -3,16 +3,37 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import weckd.tensor
 from weckd.backbone import (
     BackboneConfig,
     Model,
+    _layers,
     build_model,
-    copy_attention_weights,
     forward,
     forward_on_tape,
     param_digest,
 )
+from weckd.losses import softmax_temperature
 from weckd.tensor import ShapeError, Tape, attention_scores
+
+
+class _RecordGap:
+    """The pure `tensor` ops, keeping the array that reaches `gap`: the
+    pre-GAP features, gated when the model has attention enabled."""
+
+    def __getattr__(self, name):
+        return getattr(weckd.tensor, name)
+
+    def gap(self, x):
+        self.features = x
+        return weckd.tensor.gap(x)
+
+
+def _features(model, batch):
+    """(pre-GAP features, logits) of one inference pass."""
+    ops = _RecordGap()
+    logits = _layers(ops, model.params, batch, model.config)
+    return ops.features, logits
 
 
 def test_build_is_deterministic():
@@ -47,20 +68,20 @@ def test_spatial_collapse_rejected():
 def test_probability_rows_sum_to_one():
     model = build_model(BackboneConfig(init_seed=0))
     batch = np.random.default_rng(0).uniform(0, 1, size=(3, 3, 32, 32))
-    _, probs, _ = forward(model, batch)
+    probs = softmax_temperature(forward(model, batch), 1.0)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 def test_zero_parameters_give_uniform_probs():
     model = build_model(BackboneConfig(init_seed=0))
     model = Model(model.config, {k: np.zeros_like(v) for k, v in model.params.items()})
-    _, probs, _ = forward(model, np.ones((2, 3, 32, 32)))
+    probs = softmax_temperature(forward(model, np.ones((2, 3, 32, 32))), 1.0)
     np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
 
 def test_feature_map_shape_default_config():
     model = build_model(BackboneConfig(init_seed=0))
-    f_base, _, logits = forward(model, np.zeros((2, 3, 32, 32)))
+    f_base, logits = _features(model, np.zeros((2, 3, 32, 32)))
     assert f_base.shape == (2, 64, 4, 4)
     assert np.all(np.isfinite(logits))
 
@@ -106,10 +127,7 @@ def test_saturated_attention_equals_base_path():
     model.params["w_att"] = np.zeros_like(model.params["w_att"])
     model.params["b_att"] = np.array(800.0)  # sigmoid underflows to exactly 1.0
     batch = np.random.default_rng(1).uniform(0, 1, size=(2, 3, 32, 32))
-    _, probs_att, logits_att = forward(model, batch)
-    _, probs_base, logits_base = forward(_plain_twin(model), batch)
-    np.testing.assert_array_equal(logits_att, logits_base)
-    np.testing.assert_array_equal(probs_att, probs_base)
+    np.testing.assert_array_equal(forward(model, batch), forward(_plain_twin(model), batch))
 
 
 def test_constant_half_attention_scales_gap():
@@ -117,8 +135,8 @@ def test_constant_half_attention_scales_gap():
     model.params["w_att"] = np.zeros_like(model.params["w_att"])
     model.params["b_att"] = np.array(0.0)  # every score exactly 0.5
     batch = np.random.default_rng(2).uniform(0, 1, size=(1, 3, 32, 32))
-    f_base, _, _ = forward(_plain_twin(model), batch)
-    f_att, _, _ = forward(model, batch)
+    f_base = _features(_plain_twin(model), batch)[0]
+    f_att = _features(model, batch)[0]
     np.testing.assert_allclose(f_att.mean(axis=(2, 3)), 0.5 * f_base.mean(axis=(2, 3)),
                                atol=1e-12)
 
@@ -126,8 +144,8 @@ def test_constant_half_attention_scales_gap():
 def test_attention_scores_strictly_inside_unit_interval():
     model = _attended_model(seed=5)
     batch = np.random.default_rng(5).uniform(0, 1, size=(2, 3, 32, 32))
-    f_att, _, _ = forward(model, batch)
-    scores = attention_scores(forward(_plain_twin(model), batch)[0],
+    f_att = _features(model, batch)[0]
+    scores = attention_scores(_features(_plain_twin(model), batch)[0],
                               model.params["w_att"], model.params["b_att"])
     assert np.all(scores > 0) and np.all(scores < 1)
     assert np.all(np.isfinite(f_att))
@@ -138,10 +156,10 @@ def test_forward_routes_by_flag():
     plain = build_model(BackboneConfig(init_seed=4))
     gated = build_model(BackboneConfig(attention_enabled=True, init_seed=4))
     # same init seed, same parameters: the flag alone inserts the gate
-    f_plain = forward(plain, batch)[0]
+    f_plain = _features(plain, batch)[0]
     scores = attention_scores(f_plain, gated.params["w_att"], gated.params["b_att"])
-    np.testing.assert_array_equal(forward(gated, batch)[0], f_plain * scores[:, None])
-    assert not np.array_equal(forward(gated, batch)[2], forward(plain, batch)[2])
+    np.testing.assert_array_equal(_features(gated, batch)[0], f_plain * scores[:, None])
+    assert not np.array_equal(forward(gated, batch), forward(plain, batch))
 
 
 @pytest.mark.parametrize("attention", [False, True])
@@ -149,33 +167,8 @@ def test_forward_matches_taped_forward_exactly(attention):
     model = build_model(BackboneConfig(input_size=(16, 16, 1), attention_enabled=attention,
                                        init_seed=6))
     batch = np.random.default_rng(6).uniform(0, 1, size=(3, 1, 16, 16))
-    np.testing.assert_array_equal(forward(model, batch)[2],
+    np.testing.assert_array_equal(forward(model, batch),
                                   forward_on_tape(model, Tape(), batch).value)
-
-
-def test_copy_attention_weights():
-    teacher = _attended_model(seed=10)
-    teacher.params["w_att"] = np.arange(64, dtype=np.float64)
-    student = _attended_model(seed=11)
-    before_conv = student.params["conv0_w"].copy()
-    out = copy_attention_weights(teacher, student)
-    np.testing.assert_array_equal(out.params["w_att"], teacher.params["w_att"])
-    np.testing.assert_array_equal(out.params["b_att"], teacher.params["b_att"])
-    np.testing.assert_array_equal(out.params["conv0_w"], before_conv)
-
-
-def test_copy_attention_weights_self_is_noop():
-    model = _attended_model(seed=12)
-    out = copy_attention_weights(model, model.copy())
-    for name in model.params:
-        np.testing.assert_array_equal(out.params[name], model.params[name])
-
-
-def test_copy_attention_channel_mismatch():
-    teacher = build_model(BackboneConfig(conv_blocks=(8, 16), attention_enabled=True))
-    student = _attended_model()
-    with pytest.raises(ShapeError):
-        copy_attention_weights(teacher, student)
 
 
 def test_param_digest_tracks_changes():

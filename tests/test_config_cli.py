@@ -292,6 +292,14 @@ def test_report_renders_every_seed_of_a_multi_seed_run(tmp_path, capsys):
         assert row.split()[4] == f"{summary[seed]['deltas']['m1_to_m3']:+.4f}"
 
 
+@pytest.mark.parametrize("name", ["metrics.json", "summary.json"])
+def test_report_malformed_json_is_runtime_error_naming_the_file(tmp_path, capsys, name):
+    (tmp_path / name).write_text('{"progression": [')
+    assert main(["report", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / name) in err and "Traceback" not in err
+
+
 def test_missing_checkpoint_is_runtime_error(tmp_path, capsys):
     data_out = str(tmp_path / "d")
     main(["gen-data", "--out", data_out, "--n", "30", "--classes", "3", "--size", "12"])

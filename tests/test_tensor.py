@@ -15,7 +15,6 @@ from weckd.tensor import (
     maxpool2,
     relu,
     sgd_step,
-    softmax,
 )
 from weckd.backbone import BackboneConfig, build_model, forward_on_tape
 from weckd.losses import hybrid_loss, hybrid_loss_grad
@@ -90,10 +89,6 @@ def test_layer_forward_gap_constant():
 def test_layer_forward_maxpool():
     out = maxpool2(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 1, 2, 2))
     assert out.reshape(-1)[0] == 4.0
-
-
-def test_layer_forward_softmax_symmetry():
-    np.testing.assert_allclose(softmax(np.array([[0.0, 0.0]])), [[0.5, 0.5]], atol=1e-15)
 
 
 def test_layer_forward_dense_mismatch():
