@@ -96,13 +96,15 @@ def _as_batch(model, batch):
 
 
 def _layers(ops, p, x, config):
-    """The network, defined once: conv->relu->pool per block, the optional
+    """The network, defined once: conv->pool->relu per block, the optional
     spatial gate, GAP, FC-relu, FC. `ops` is the `tensor` module (inference,
     arrays) or a `Tape` (training, nodes). Returns the logits."""
     for i in range(len(config.conv_blocks)):
         x = ops.conv2d(x, p[f"conv{i}_w"], p[f"conv{i}_b"], stride=1, pad=1)
-        x = ops.relu(x)
-        x = ops.maxpool2(x)
+        # relu is monotone, so it commutes with max: pooling first gives the
+        # same values (and, with first-max masks, the same gradients up to the
+        # sign of zero) while relu runs on a quarter of the elements
+        x = ops.relu(ops.maxpool2(x))
     if config.attention_enabled:
         scores = ops.attention_scores(x, p["w_att"], p["b_att"])
         x = ops.scale_spatial(x, scores)
