@@ -86,7 +86,9 @@ def build_model(config: BackboneConfig) -> Model:
 
 
 def _as_batch(model, batch):
-    batch = np.asarray(batch, dtype=np.float64)
+    # the params' dtype is the compute dtype: float64 from build_model,
+    # float32 from a checkpoint
+    batch = np.asarray(batch, dtype=np.result_type(*model.params.values()))
     h, w, c = model.config.input_size
     if batch.ndim != 4 or batch.shape[1:] != (c, h, w):
         raise ShapeError(

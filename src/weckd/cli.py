@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -38,7 +39,8 @@ def _cmd_train(args):
 
 def _cmd_tune(args):
     cfg = parse_config(args.config)
-    best, trials = tune_experiment(cfg, args.trials, out_dir=args.out_dir)
+    n_trials = cfg.hyperopt["n_trials"] if args.trials is None else args.trials
+    best, trials = tune_experiment(cfg, n_trials, out_dir=args.out_dir)
     print(f"best trial {best.trial_index}: eta={best.params[0]:.3g} "
           f"alpha={best.params[1]:.4f} temp={best.params[2]:.3f} "
           f"objective={best.objective:.4f}")
@@ -58,19 +60,33 @@ def _cmd_eval(args):
     return 0
 
 
-def _render_run(payload):
-    print(f"{'stage':<6}{'train_acc':>11}{'test_acc':>10}{'train_loss':>12}{'test_loss':>11}")
-    prev = None
-    for row in payload["progression"]:
-        delta = "" if prev is None else f"  ({row['test_acc'] - prev:+.4f})"
-        print(f"{row['stage']:<6}{row['train_acc']:>11.4f}{row['test_acc']:>10.4f}"
-              f"{row['train_loss']:>12.4f}{row['test_loss']:>11.4f}{delta}")
-        prev = row["test_acc"]
-    theory = payload["theory"]
-    print(f"risk hierarchy holds: {theory['hierarchy_holds']}  "
-          f"risks: {['%.4f' % r for r in theory['risks']]}")
-    print(f"KL(M2||M1)={theory['kl_m2_m1']:.5f}  KL(M3||M2)={theory['kl_m3_m2']:.5f}  "
-          f"beta_hat={theory['beta_hat']}")
+@contextlib.contextmanager
+def _shape_errors(path):
+    """Report a run file that parses but has the wrong shape as a runtime
+    error naming the file and the missing or bad key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise RuntimeError(f"{path} lacks key {exc}") from None
+    except (IndexError, TypeError, ValueError) as exc:
+        raise RuntimeError(f"{path} has the wrong shape: {exc}") from None
+
+
+def _render_run(path):
+    payload = _read_json(path)
+    with _shape_errors(path):
+        print(f"{'stage':<6}{'train_acc':>11}{'test_acc':>10}{'train_loss':>12}{'test_loss':>11}")
+        prev = None
+        for row in payload["progression"]:
+            delta = "" if prev is None else f"  ({row['test_acc'] - prev:+.4f})"
+            print(f"{row['stage']:<6}{row['train_acc']:>11.4f}{row['test_acc']:>10.4f}"
+                  f"{row['train_loss']:>12.4f}{row['test_loss']:>11.4f}{delta}")
+            prev = row["test_acc"]
+        theory = payload["theory"]
+        print(f"risk hierarchy holds: {theory['hierarchy_holds']}  "
+              f"risks: {['%.4f' % r for r in theory['risks']]}")
+        print(f"KL(M2||M1)={theory['kl_m2_m1']:.5f}  KL(M3||M2)={theory['kl_m3_m2']:.5f}  "
+              f"beta_hat={theory['beta_hat']}")
 
 
 def _read_json(path):
@@ -84,20 +100,22 @@ def _read_json(path):
 def _cmd_report(args):
     summary_path = os.path.join(args.run_dir, "summary.json")
     if not os.path.exists(summary_path):
-        _render_run(_read_json(os.path.join(args.run_dir, "metrics.json")))
+        _render_run(os.path.join(args.run_dir, "metrics.json"))
         return 0
     # a multi-seed run: each seed's chain, then the summary across seeds
     summary = _read_json(summary_path)
-    seeds = sorted(summary, key=int)
+    with _shape_errors(summary_path):
+        seeds = sorted(summary, key=int)
     for seed in seeds:
         print(f"seed {seed}")
-        _render_run(_read_json(os.path.join(args.run_dir, f"seed_{seed}", "metrics.json")))
+        _render_run(os.path.join(args.run_dir, f"seed_{seed}", "metrics.json"))
         print()
     print(f"{'seed':<6}{'accuracy':>10}{'m1_to_m2':>10}{'m2_to_m3':>10}{'m1_to_m3':>10}")
-    for seed in seeds:
-        d = summary[seed]["deltas"]
-        print(f"{seed:<6}{summary[seed]['accuracy']:>10.4f}{d['m1_to_m2']:>+10.4f}"
-              f"{d['m2_to_m3']:>+10.4f}{d['m1_to_m3']:>+10.4f}")
+    with _shape_errors(summary_path):
+        for seed in seeds:
+            d = summary[seed]["deltas"]
+            print(f"{seed:<6}{summary[seed]['accuracy']:>10.4f}{d['m1_to_m2']:>+10.4f}"
+                  f"{d['m2_to_m3']:>+10.4f}{d['m1_to_m3']:>+10.4f}")
     return 0
 
 
@@ -122,7 +140,8 @@ def build_parser():
 
     u = sub.add_parser("tune", help="TPE hyperparameter search")
     u.add_argument("--config", required=True)
-    u.add_argument("--trials", type=int, default=5)
+    u.add_argument("--trials", type=int, default=None,
+                   help="number of TPE trials (default: the config's hyperopt.n_trials)")
     u.add_argument("--out-dir", default=None)
     u.set_defaults(fn=_cmd_tune)
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 
 from .losses import DistillParams
@@ -114,8 +115,9 @@ def parse_config(path) -> ExperimentConfig:
 
     hyperopt = {**_DEFAULTS["hyperopt"], **merged["hyperopt"]}
     _reject_unknown(merged["hyperopt"], _HYPEROPT_KEYS, "$.hyperopt")
-    if hyperopt["n_trials"] < 1:
-        raise ConfigError("value at $.hyperopt.n_trials must be >= 1")
+    n_trials = hyperopt["n_trials"]
+    if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
+        raise ConfigError(f"value {n_trials!r} at $.hyperopt.n_trials must be an integer >= 1")
 
     repeat_seeds = list(merged["repeat_seeds"])
     if not repeat_seeds:

@@ -1,4 +1,9 @@
-"""Dense float64 tensor ops with a taped reverse-mode backward pass.
+"""Dense tensor ops with a taped reverse-mode backward pass.
+
+The dtype follows the inputs: every op computes and allocates in its input's
+dtype, casting weights to it, so float32 weights with a float32 batch run at
+float32 throughout. Float64 is the gradient oracle: the finite-difference
+checks and training run at float64.
 
 The op set is deliberately closed: exactly the primitives the classifier
 backbone needs (conv2d, relu, 2x2 maxpool, dense, GAP, and a
@@ -50,11 +55,11 @@ def _im2col(x, k, stride, pad):
     Ho = _out_size(H, k, stride, pad)
     Wo = _out_size(W, k, stride, pad)
     if pad:
-        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
         xp[:, :, pad:pad + H, pad:pad + W] = x
     else:
         xp = x
-    cols = np.empty((B, C, k, k, Ho, Wo))
+    cols = np.empty((B, C, k, k, Ho, Wo), dtype=x.dtype)
     for i in range(k):
         for j in range(k):
             cols[:, :, i, j] = xp[:, :, i:i + stride * (Ho - 1) + 1:stride,
@@ -69,7 +74,7 @@ def _col2im(dcols, xshape, k, stride, pad):
     Ho = _out_size(H, k, stride, pad)
     Wo = _out_size(W, k, stride, pad)
     d = dcols.reshape(B, C, k, k, Ho, Wo)
-    dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad))
+    dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
             dxp[:, :, i:i + stride * (Ho - 1) + 1:stride,
@@ -79,9 +84,9 @@ def _col2im(dcols, xshape, k, stride, pad):
 
 def _conv2d_forward(x, w, b, stride, pad):
     """Checked conv2d shared by the pure op and the tape: (out, cols)."""
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    x = np.asarray(x)
+    w = np.asarray(w, dtype=x.dtype)
+    b = np.asarray(b, dtype=x.dtype)
     if x.ndim != 4 or w.ndim != 4:
         raise ShapeError(f"conv2d expects 4-d input and kernel, got {x.shape} and {w.shape}")
     if x.shape[1] != w.shape[1]:
@@ -114,7 +119,7 @@ def relu(x):
 
 def sigmoid(x):
     # stable in both tails
-    out = np.empty_like(x, dtype=np.float64)
+    out = np.empty_like(x)
     pos = x >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
     ex = np.exp(x[~pos])
@@ -138,11 +143,11 @@ def maxpool2(x):
 
 
 def dense(x, w, b):
-    x = np.asarray(x, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    x = np.asarray(x)
+    w = np.asarray(w, dtype=x.dtype)
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"dense inner-dim mismatch: input {x.shape} vs weight {w.shape}")
-    return x @ w + b
+    return x @ w + np.asarray(b, dtype=x.dtype)
 
 
 def gap(x):
@@ -153,8 +158,8 @@ def gap(x):
 
 def attention_scores(f_base, w_att, b_att):
     """Per-location sigmoid gate: scores (B,H,W) from features (B,C,H,W)."""
-    f_base = np.asarray(f_base, dtype=np.float64)
-    w = np.asarray(w_att, dtype=np.float64).reshape(-1)
+    f_base = np.asarray(f_base)
+    w = np.asarray(w_att, dtype=f_base.dtype).reshape(-1)
     if f_base.shape[1] != w.shape[0]:
         raise ShapeError(
             f"attention weight length {w.shape[0]} does not match channel count {f_base.shape[1]}"
@@ -199,12 +204,12 @@ class Tape:
     def param(self, name, value):
         if name in self._params:
             raise ContractError(f"parameter {name!r} already on tape")
-        node = self._add(_Node(np.asarray(value, dtype=np.float64), name=name))
+        node = self._add(_Node(np.asarray(value), name=name))
         self._params[name] = node
         return node
 
     def const(self, value):
-        return self._add(_Node(np.asarray(value, dtype=np.float64)))
+        return self._add(_Node(np.asarray(value)))
 
     # -- recorded ops -------------------------------------------------------
 
@@ -240,10 +245,10 @@ class Tape:
             m = (v == out) & ~taken
             taken |= m
             masks.append(m)
-        shape = x.value.shape
+        shape, dtype = x.value.shape, x.value.dtype
 
         def vjp(g):
-            dx = np.zeros(shape)
+            dx = np.zeros(shape, dtype=dtype)
             for dv, m in zip(_pool_views(dx), masks):
                 np.multiply(g, m, out=dv)
             return dx
@@ -302,16 +307,17 @@ class Tape:
         Parameters not reachable from `root` get zero gradients. Constant
         leaves (`const`) get none: their VJPs are never run.
         """
+        value = np.asarray(root.value)
         if seed_grad is None:
-            if np.asarray(root.value).size != 1:
+            if value.size != 1:
                 raise ContractError(
-                    f"backward without a seed requires a scalar root, got shape {np.asarray(root.value).shape}"
+                    f"backward without a seed requires a scalar root, got shape {value.shape}"
                 )
-            seed_grad = np.ones_like(np.asarray(root.value, dtype=np.float64))
-        seed_grad = np.asarray(seed_grad, dtype=np.float64)
-        if seed_grad.shape != np.asarray(root.value).shape:
+            seed_grad = np.ones_like(value)
+        seed_grad = np.asarray(seed_grad, dtype=value.dtype)
+        if seed_grad.shape != value.shape:
             raise ShapeError(
-                f"seed gradient shape {seed_grad.shape} does not match root shape {np.asarray(root.value).shape}"
+                f"seed gradient shape {seed_grad.shape} does not match root shape {value.shape}"
             )
         grads = {id(root): seed_grad}
         for node in reversed(self._nodes):

@@ -451,7 +451,7 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(
                 f"non-finite values in tensor {name} (data at offset {off - size * 4})"
             )
-        params[name] = arr.astype(np.float64)
+        params[name] = arr.astype(np.float32)  # a native-order copy of the file's f32
     if off != len(data):
         raise CheckpointError(f"{len(data) - off} trailing bytes after the last tensor at offset {off}")
     reference = build_model(config)

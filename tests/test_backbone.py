@@ -177,3 +177,39 @@ def test_param_digest_tracks_changes():
     assert d1 == param_digest(model)
     model.params["w1"][0, 0] += 1e-9
     assert param_digest(model) != d1
+
+
+def test_float32_weights_score_close_to_float64():
+    # the same f32-representable weights and images, run once at each dtype:
+    # the dtype of the params is the dtype of the whole pass
+    model = build_model(BackboneConfig(attention_enabled=True, init_seed=8))
+    p32 = {k: v.astype(np.float32) for k, v in model.params.items()}
+    p64 = {k: v.astype(np.float64) for k, v in p32.items()}
+    batch = np.random.default_rng(8).uniform(0, 1, size=(16, 3, 32, 32)).astype(np.float32)
+    z32 = forward(Model(model.config, p32), batch)
+    z64 = forward(Model(model.config, p64), batch)
+    assert z32.dtype == np.float32 and z64.dtype == np.float64
+    scale = max(1.0, float(np.abs(z64).max()))
+    assert np.abs(z32 - z64).max() <= 1e-5 * scale
+
+
+def _taped(layers, x, g):
+    """Value and input gradient of `layers(tape, x_node)` on a fresh tape."""
+    tape = Tape()
+    y = layers(tape, tape.param("x", x))
+    return y.value, tape.backward(y, g)["x"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relu_commutes_with_maxpool_in_value_and_gradient(seed):
+    rng = np.random.default_rng(seed)
+    # few distinct values, so windows tie, and a band of all-negative windows
+    x = rng.integers(-2, 3, size=(2, 3, 8, 7)).astype(np.float64)
+    x[:, :, :2] = -rng.integers(1, 3, size=(2, 3, 2, 7))
+    g = rng.normal(size=(2, 3, 4, 3))
+    v_new, g_new = _taped(lambda t, n: t.relu(t.maxpool2(n)), x, g)
+    v_old, g_old = _taped(lambda t, n: t.maxpool2(t.relu(n)), x, g)
+    np.testing.assert_array_equal(v_new, v_old)
+    np.testing.assert_array_equal(v_new, weckd.tensor.relu(weckd.tensor.maxpool2(x)))
+    np.testing.assert_array_equal(g_new, g_old)  # -0.0 == 0.0: equal up to the sign of zero
+    assert np.all(v_new[:, :, 0] == 0) and np.all(g_new[:, :, :2] == 0)

@@ -300,6 +300,34 @@ def test_report_malformed_json_is_runtime_error_naming_the_file(tmp_path, capsys
     assert str(tmp_path / name) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, text, key", [
+    ("metrics.json", "{}", "'progression'"),
+    ("summary.json", '{"a": {}}', "'a'"),
+])
+def test_report_wrong_shape_is_runtime_error_naming_the_file_and_key(tmp_path, capsys,
+                                                                     name, text, key):
+    (tmp_path / name).write_text(text)
+    assert main(["report", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert str(tmp_path / name) in err and key in err and "Traceback" not in err
+
+
+def test_tune_trials_default_to_the_config(tmp_path, capsys):
+    doc = dict(TINY_EXPERIMENT, train={"max_epochs": 1, "batch_size": 8},
+               hyperopt={"n_trials": 2})
+    out_dir = tmp_path / "study"
+    assert main(["tune", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 0
+    assert len((out_dir / "trials.csv").read_text().splitlines()) == 1 + 2
+
+
+@pytest.mark.parametrize("value", [0, 2.5, "3"])
+def test_bad_trial_count_is_usage_error_naming_the_key(tmp_path, capsys, value):
+    doc = dict(TINY_EXPERIMENT, hyperopt={"n_trials": value})
+    assert main(["tune", "--config", write_config(tmp_path, doc),
+                 "--out-dir", str(tmp_path / "study")]) == 2
+    assert "$.hyperopt.n_trials" in capsys.readouterr().err
+
+
 def test_missing_checkpoint_is_runtime_error(tmp_path, capsys):
     data_out = str(tmp_path / "d")
     main(["gen-data", "--out", data_out, "--n", "30", "--classes", "3", "--size", "12"])
