@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,7 @@ __all__ = [
     "forward",
     "forward_on_tape",
     "param_digest",
+    "param_shapes",
 ]
 
 
@@ -29,23 +31,27 @@ class BackboneConfig:
     init_seed: int = 0
 
     def __post_init__(self):
+        for name in ("input_size", "conv_blocks"):
+            values = getattr(self, name)
+            if not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):
+                raise ContractError(f"{name} must hold integers >= 1, got {values!r}")
+        if len(self.input_size) != 3 or not self.conv_blocks:
+            raise ContractError(
+                f"need an (H, W, C) input_size and at least one conv block, got "
+                f"{self.input_size!r} and {self.conv_blocks!r}"
+            )
         if self.num_classes < 2:
             raise ContractError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.fc_width < 1:
             raise ContractError(f"fc_width must be positive, got {self.fc_width}")
-        self.feature_shape()  # validates spatial collapse
-
-    def feature_shape(self):
-        """(C', H', W') after the conv stack; raises on spatial collapse."""
         h, w, _ = self.input_size
-        for i, _f in enumerate(self.conv_blocks):
+        for i in range(len(self.conv_blocks)):
             h, w = h // 2, w // 2  # same-padded 3x3 conv, then 2x2 pool
             if h < 1 or w < 1:
                 raise ShapeError(
                     f"conv block {i} collapses spatial size below 1x1 "
                     f"for input {self.input_size[:2]}"
                 )
-        return self.conv_blocks[-1], h, w
 
 
 @dataclass
@@ -62,26 +68,38 @@ class Model:
         return self.config.num_classes
 
 
+def param_shapes(config: BackboneConfig) -> dict:
+    """Ordered name -> shape of every parameter `config` implies, in
+    `build_model`'s draw order."""
+    shapes = {}
+    c_in = config.input_size[2]
+    for i, f in enumerate(config.conv_blocks):
+        shapes[f"conv{i}_w"] = (f, c_in, 3, 3)
+        shapes[f"conv{i}_b"] = (f,)
+        c_in = f
+    shapes.update(w_att=(c_in,), b_att=(), w1=(c_in, config.fc_width), b1=(config.fc_width,),
+                  w2=(config.fc_width, config.num_classes), b2=(config.num_classes,))
+    return shapes
+
+
 def build_model(config: BackboneConfig) -> Model:
     """Seeded He-style init: weights ~ N(0, 2/fan_in), biases 0."""
     rng = np.random.default_rng(config.init_seed)
     params = {}
-    c_in = config.input_size[2]
-    for i, f in enumerate(config.conv_blocks):
-        fan_in = c_in * 9
-        params[f"conv{i}_w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(f, c_in, 3, 3))
-        params[f"conv{i}_b"] = np.zeros(f)
-        c_in = f
-    c_feat, _, _ = config.feature_shape()
-    # small weights and a positive bias start the gates near pass-through
-    # (sigmoid ~ 0.88), so an attention model begins close to its plain twin
-    params["w_att"] = rng.normal(0.0, 0.01, size=(c_feat,))
-    params["b_att"] = np.array(2.0)
-    params["w1"] = rng.normal(0.0, np.sqrt(2.0 / c_feat), size=(c_feat, config.fc_width))
-    params["b1"] = np.zeros(config.fc_width)
-    params["w2"] = rng.normal(0.0, np.sqrt(2.0 / config.fc_width),
-                              size=(config.fc_width, config.num_classes))
-    params["b2"] = np.zeros(config.num_classes)
+    for name, shape in param_shapes(config).items():
+        if name == "w_att":
+            # small weights and a positive bias start the gates near
+            # pass-through (sigmoid ~ 0.88), so an attention model begins
+            # close to its plain twin
+            params[name] = rng.normal(0.0, 0.01, size=shape)
+        elif name == "b_att":
+            params[name] = np.array(2.0)
+        elif len(shape) == 1:
+            params[name] = np.zeros(shape)
+        else:
+            # a conv kernel (F, C, 3, 3) sees C*9 inputs, a dense (in, out) `in`
+            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
+            params[name] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
     return Model(config, params)
 
 
@@ -114,9 +132,33 @@ def _layers(ops, p, x, config):
     return ops.dense(fc, p["w2"], p["b2"])
 
 
+# Inference runs in row tiles whose widest conv buffer (the im2col columns or
+# the conv output) fits in this many bytes: well under glibc's 32 MiB mmap
+# ceiling, so no conv call maps and faults in fresh pages, and a tile's columns
+# stay close to the per-core L2 (2, 4 and 8 MiB measured alike; 16 was slower).
+TILE_BYTES = 8 << 20
+
+
+def _tile_rows(config, dtype):
+    """Rows per inference tile: TILE_BYTES over the widest per-image conv
+    buffer, and at least 2, so no tile drops to a matrix-vector product."""
+    h, w, c = config.input_size
+    widest = 0
+    for f in config.conv_blocks:
+        widest = max(widest, c * 9 * h * w, f * h * w)
+        h, w, c = h // 2, w // 2, f
+    return max(2, TILE_BYTES // (widest * np.dtype(dtype).itemsize))
+
+
 def forward(model, batch):
-    """Inference pass; returns the logits."""
-    return _layers(T, model.params, _as_batch(model, batch), model.config)
+    """Inference pass; returns the logits.
+
+    The batch runs in even row tiles of at most `_tile_rows` rows. A row's
+    logits are the same bits in any tile of 2 rows or more."""
+    x = _as_batch(model, batch)
+    tiles = -(-len(x) // _tile_rows(model.config, x.dtype))
+    return np.concatenate([_layers(T, model.params, tile, model.config)
+                           for tile in np.array_split(x, max(1, tiles))])
 
 
 def forward_on_tape(model, tape, batch):

@@ -3,6 +3,7 @@ frozen teachers, LR plateau decay, early stopping, checkpointing, timing capture
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import struct
@@ -19,6 +20,7 @@ from .backbone import (
     forward,
     forward_on_tape,
     param_digest,
+    param_shapes,
 )
 from .data import DatasetSplit, LabeledDataset, make_batches
 from .losses import DistillParams, anneal_temperature, hybrid_loss, hybrid_loss_grad, softmax_temperature
@@ -433,6 +435,7 @@ def load_checkpoint(path) -> Model:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     (blob_len,) = struct.unpack("<I", take(4, "config length"))
     config = _config_from_blob(take(blob_len, "config blob"), off - blob_len)
+    shapes = param_shapes(config)
     (count,) = struct.unpack("<I", take(4, "tensor count"))
     params = {}
     for _ in range(count):
@@ -443,9 +446,17 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(f"tensor name at offset {off - name_len} is not UTF-8") from None
         if name in params:
             raise CheckpointError(f"duplicate tensor {name} at offset {off - name_len}")
+        if name not in shapes:
+            raise CheckpointError(
+                f"tensor {name!r} at offset {off - name_len} is not a parameter of the config"
+            )
         (rank,) = struct.unpack("<B", take(1, "rank"))
         dims = tuple(struct.unpack("<I", take(4, "dim"))[0] for _ in range(rank))
-        size = int(np.prod(dims)) if dims else 1
+        if dims != shapes[name]:
+            raise CheckpointError(
+                f"shape mismatch for {name}: file has {dims}, config implies {shapes[name]}"
+            )
+        size = math.prod(dims)  # a Python int: cannot overflow
         arr = np.frombuffer(take(size * 4, f"data of {name}"), dtype="<f4").reshape(dims)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(
@@ -454,15 +465,8 @@ def load_checkpoint(path) -> Model:
         params[name] = arr.astype(np.float32)  # a native-order copy of the file's f32
     if off != len(data):
         raise CheckpointError(f"{len(data) - off} trailing bytes after the last tensor at offset {off}")
-    reference = build_model(config)
-    if set(params) != set(reference.params):
+    if set(params) != set(shapes):
         raise CheckpointError(
-            f"checkpoint parameters {sorted(params)} do not match config-required {sorted(reference.params)}"
+            f"checkpoint parameters {sorted(params)} do not match config-required {sorted(shapes)}"
         )
-    for name, arr in params.items():
-        if arr.shape != reference.params[name].shape:
-            raise CheckpointError(
-                f"shape mismatch for {name}: file has {arr.shape}, "
-                f"config implies {reference.params[name].shape}"
-            )
     return Model(config, params)

@@ -3,18 +3,22 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import weckd.backbone
 import weckd.tensor
 from weckd.backbone import (
+    TILE_BYTES,
     BackboneConfig,
     Model,
     _layers,
+    _tile_rows,
     build_model,
     forward,
     forward_on_tape,
     param_digest,
+    param_shapes,
 )
 from weckd.losses import softmax_temperature
-from weckd.tensor import ShapeError, Tape, attention_scores
+from weckd.tensor import ContractError, ShapeError, Tape, attention_scores
 
 
 class _RecordGap:
@@ -213,3 +217,79 @@ def test_relu_commutes_with_maxpool_in_value_and_gradient(seed):
     np.testing.assert_array_equal(v_new, weckd.tensor.relu(weckd.tensor.maxpool2(x)))
     np.testing.assert_array_equal(g_new, g_old)  # -0.0 == 0.0: equal up to the sign of zero
     assert np.all(v_new[:, :, 0] == 0) and np.all(g_new[:, :, :2] == 0)
+
+
+def test_param_shapes_name_build_model_params_in_order():
+    for config in (BackboneConfig(), BackboneConfig(input_size=(20, 24, 1), conv_blocks=(5,),
+                                                    fc_width=3, num_classes=7)):
+        built = build_model(config).params
+        assert list(param_shapes(config).items()) == [(k, v.shape) for k, v in built.items()]
+
+
+@pytest.mark.parametrize("field, value", [
+    ("input_size", (32, 32, 0)),
+    ("input_size", (0, 32, 3)),
+    ("input_size", (32, 32)),
+    ("input_size", (32.0, 32, 3)),
+    ("conv_blocks", (16, 0, 64)),
+    ("conv_blocks", ()),
+])
+def test_config_rejects_sizes_that_are_not_positive_integers(field, value):
+    with pytest.raises(ContractError):
+        BackboneConfig(**{field: value})
+
+
+# -- inference tiles -----------------------------------------------------------
+
+class _RecordConv:
+    """The pure `tensor` ops, recording the element count of every conv's
+    im2col columns and output per image."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(weckd.tensor, name)
+
+    def conv2d(self, x, w, b, stride, pad):
+        out = weckd.tensor.conv2d(x, w, b, stride=stride, pad=pad)
+        _, c, h, wd = out.shape
+        self.sizes += [x.shape[1] * w.shape[2] * w.shape[3] * h * wd, c * h * wd]
+        return out
+
+
+TILE_CONFIGS = [BackboneConfig(input_size=(32, 32, 1), attention_enabled=True),
+                BackboneConfig(input_size=(64, 64, 3)),
+                BackboneConfig(input_size=(12, 12, 1), conv_blocks=(4, 6)),
+                BackboneConfig(input_size=(256, 256, 3), conv_blocks=(32, 64))]
+
+
+@pytest.mark.parametrize("config", TILE_CONFIGS)
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_tile_rows_keep_the_widest_conv_buffer_within_budget(config, dtype):
+    model = build_model(config)
+    h, w, c = config.input_size
+    ops = _RecordConv()
+    _layers(ops, model.params, np.zeros((1, c, h, w), dtype=dtype), config)
+    row_bytes = max(ops.sizes) * np.dtype(dtype).itemsize
+    rows = _tile_rows(config, dtype)
+    assert rows == 2 or rows * row_bytes <= TILE_BYTES < (rows + 1) * row_bytes
+
+
+def test_forward_splits_a_batch_into_even_tiles_of_two_rows_or_more(monkeypatch):
+    config = BackboneConfig(input_size=(32, 32, 1))
+    model = build_model(config)
+    rows = _tile_rows(config, np.float64)
+    tiles = []
+
+    def spy(ops, p, x, cfg):
+        tiles.append(len(x))
+        return x[:, 0, 0, :2]  # a row's own pixels stand in for its logits
+
+    monkeypatch.setattr(weckd.backbone, "_layers", spy)
+    for n in range(1, 4 * rows + 3):
+        tiles.clear()
+        batch = np.random.default_rng(n).random((n, 1, 32, 32))
+        np.testing.assert_array_equal(forward(model, batch), batch[:, 0, 0, :2])
+        assert sum(tiles) == n and max(tiles) <= rows and max(tiles) - min(tiles) <= 1
+        assert n == 1 or min(tiles) >= 2

@@ -250,6 +250,43 @@ def test_eval_rejects_duplicate_tensor(tmp_path, capsys):
     assert "duplicate tensor b1" in out.err
 
 
+def _rewrite_first_tensor_dims(path, dims):
+    """Give the first tensor record (b1, names are sorted) the rank and dims
+    `dims`, keeping its name and data bytes."""
+    raw = open(path, "rb").read()
+    (n,) = struct.unpack("<I", raw[8:12])
+    rank_at = 12 + n + 4 + 2 + 2  # blob, tensor count, name length, b"b1"
+    assert raw[rank_at - 2:rank_at] == b"b1" and raw[rank_at] == 1
+    head = raw[:rank_at] + struct.pack(f"<B{len(dims)}I", len(dims), *dims)
+    open(path, "wb").write(head + raw[rank_at + 1 + 4:])
+
+
+@pytest.mark.parametrize("dims", [
+    (EVAL_BB.fc_width,) + (1,) * 64,  # rank 65: more dims than numpy allows
+    (1 << 16,) * 4,                   # a product that wraps a 64-bit int to 0
+])
+def test_eval_rejects_tensor_dims_the_config_does_not_imply(tmp_path, capsys, dims):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+    _rewrite_first_tensor_dims(ckpt, dims)
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 1
+    assert "shape mismatch for b1" in out.err
+
+
+def test_eval_rejects_config_blob_with_zero_channels(tmp_path, capsys):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+
+    def zero_channels(blob):
+        d = json.loads(blob)
+        d["input_size"][2] = 0
+        return json.dumps(d).encode()
+
+    _rewrite_config_blob(ckpt, zero_channels)
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 1
+    assert "config blob at offset 12" in out.err and "input_size" in out.err
+
+
 def test_eval_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
     ckpt, data = _eval_inputs(tmp_path, capsys)
     monkeypatch.setenv("WECKD_THREADS", "two")

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import weckd.tensor
 import weckd.training
 from weckd.backbone import BackboneConfig, build_model, param_digest
 from weckd.config import parse_config
@@ -303,15 +304,23 @@ def test_teacher_scores_each_training_image_once_per_stage(monkeypatch):
 
 def test_forward_logits_do_not_depend_on_the_batch_size():
     # the teacher's logits are scored once per stage in chunks of 256 and
-    # then indexed per training batch; this holds only if a row's logits are
-    # the same bits whatever batch it is scored in
-    from weckd.backbone import forward
-    x = np.random.default_rng(0).random((144, 1, 32, 32))
+    # then indexed per training batch, and `forward` splits any batch into
+    # tiles; this holds only if a row's logits are the same bits whatever
+    # batch or tile it is scored in
+    from weckd.backbone import Model, _layers, _tile_rows, forward
+    x = np.random.default_rng(0).random((300, 1, 32, 32))
     for attention in (False, True):
         model = build_model(BackboneConfig(input_size=(32, 32, 1), attention_enabled=attention))
-        whole = forward(model, x)
+        whole = forward(model, x[:144])
         chunked = np.concatenate([forward(model, x[s:s + 16]) for s in range(0, 144, 16)])
         np.testing.assert_array_equal(whole, chunked)
+        for dtype in (np.float64, np.float32):
+            params = {k: v.astype(dtype) for k, v in model.params.items()}
+            rows = _tile_rows(model.config, dtype)
+            for n in (rows + 1, 2 * rows + 1, 256, 300):
+                batch = x[:n].astype(dtype)
+                np.testing.assert_array_equal(forward(Model(model.config, params), batch),
+                                              _layers(weckd.tensor, params, batch, model.config))
 
 
 # -- scoring passes ------------------------------------------------------------
@@ -482,6 +491,28 @@ def test_checkpoint_unknown_version(tmp_path):
     open(path, "wb").write(bytes(data))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(path)
+
+
+def test_checkpoint_reader_fuzz_gives_only_checkpoint_errors(tmp_path):
+    # every truncation and four flips of every byte: each variant loads
+    # cleanly or raises CheckpointError, never another exception
+    config = BackboneConfig(input_size=(6, 6, 1), conv_blocks=(3, 2), fc_width=3,
+                            num_classes=2, attention_enabled=True)
+    path = tmp_path / "m.wckd"
+    save_checkpoint(build_model(config), str(path))
+    data = path.read_bytes()
+    variants = [data[:n] for n in range(len(data))]
+    variants += [data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+                 for i in range(len(data)) for mask in (0x01, 0x10, 0x80, 0xFF)]
+    outcomes = Counter()
+    for raw in variants:
+        path.write_bytes(raw)
+        try:
+            load_checkpoint(str(path))
+            outcomes["loaded"] += 1
+        except CheckpointError:
+            outcomes["refused"] += 1
+    assert outcomes["loaded"] and outcomes["refused"]
 
 
 def test_train_config_validation():
