@@ -1,11 +1,12 @@
-"""Strict JSON experiment configuration: unknown keys rejected, defaults filled."""
+"""Strict JSON experiment configuration: one walk over a schema built from the defaults."""
 from __future__ import annotations
 
 import dataclasses
 import json
-import numbers
+import math
 from dataclasses import dataclass
 
+from .backbone import BackboneConfig
 from .losses import DistillParams
 from .tensor import ContractError
 from .training import TrainConfig
@@ -21,7 +22,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     dataset: dict                 # {"synthetic": {...}} or {"idx": {...}}
     partition_seed: int
-    backbone: dict                # overrides; input size / classes come from data
+    backbone: dict                # conv_blocks, fc_width; input size / classes come from data
     train: TrainConfig
     hyperopt: dict
     output_dir: str
@@ -31,31 +32,72 @@ class ExperimentConfig:
 SYNTHETIC_DEFAULTS = {"n": 1000, "classes": 4, "height": 32, "width": 32,
                       "noise_std": 0.15, "seed": 0}
 
-_DEFAULTS = {
-    "dataset": {"synthetic": dict(SYNTHETIC_DEFAULTS)},
+
+class _OneOf(dict):
+    """A schema section that holds exactly one of its keys; an empty one holds the first."""
+
+
+# Each value is the default; a type stands for a required value of that type.
+_SCHEMA = {
+    "dataset": _OneOf(synthetic=SYNTHETIC_DEFAULTS, idx={"images": str, "labels": str}),
     "partition_seed": 0,
-    "backbone": {},
-    "train": {},
-    "hyperopt": {"enabled": False, "n_trials": 5, "seed": 0},
+    "backbone": {key: getattr(BackboneConfig, key) for key in ("conv_blocks", "fc_width")},
+    "train": dataclasses.asdict(TrainConfig()),
+    "hyperopt": {"n_trials": 5, "seed": 0},
     "output_dir": "runs/default",
     "repeat_seeds": [0],
 }
 
-_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)}
-_DISTILL_KEYS = {f.name for f in dataclasses.fields(DistillParams)}
-_BACKBONE_KEYS = {"conv_blocks", "fc_width"}
-_HYPEROPT_KEYS = {"enabled", "n_trials", "seed"}
+_TYPE_NAMES = {bool: "a boolean", int: "an integer >= 0", float: "a finite number",
+               str: "a string"}
 
 
-def _reject_unknown(d, allowed, path):
-    for key in d:
-        if key not in allowed:
-            raise ConfigError(f"unknown key at {path}.{key}")
+def _resolve(value, default, path):
+    """`value` checked against the type of `default` and filled from it.
+
+    A float also takes an int, nothing takes a bool unless its default is
+    one, integers are non-negative, a list is non-empty and each item has
+    the type of the default's first item, and a dict is a section: unknown
+    keys are rejected and missing keys are filled.
+    """
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{path} must be an object, got {value!r}")
+        for key in value:
+            if key not in default:
+                raise ConfigError(f"unknown key at {path}.{key}")
+        if isinstance(default, _OneOf):
+            if len(value) > 1:
+                raise ConfigError(f"{path} must hold exactly one of {', '.join(default)}")
+            default = {key: default[key] for key in (value or list(default)[:1])}
+        out = {}
+        for key, d in default.items():
+            if key not in value and isinstance(d, type):
+                raise ConfigError(f"missing {path}.{key}")
+            out[key] = _resolve(value.get(key, {} if isinstance(d, dict) else d), d,
+                                f"{path}.{key}")
+        return out
+    if isinstance(default, (list, tuple)):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{path} must be a non-empty list, got {value!r}")
+        return type(default)(_resolve(v, default[0], f"{path}[{i}]") for i, v in enumerate(value))
+    kind = default if isinstance(default, type) else type(default)
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or (isinstance(value, bool) and kind is not bool)
+            or (isinstance(value, float) and not math.isfinite(value))
+            or (kind is int and value < 0)):
+        raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
+    return value
 
 
-def _require_range(value, lo, hi, path):
-    if not (lo <= value <= hi):
-        raise ConfigError(f"value {value} at {path} outside [{lo}, {hi}]")
+def _build(cls, fields, path):
+    """cls(**fields), with a ContractError reported at the path of the field it names."""
+    try:
+        return cls(**fields)
+    except ContractError as exc:
+        # the dataclasses' messages start with the name of the field they reject
+        key = str(exc).split(" ", 1)[0]
+        raise ConfigError(f"{path}.{key}: {exc}" if key in fields else f"{path}: {exc}") from None
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -63,75 +105,19 @@ def parse_config(path) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("top-level config must be a JSON object")
-    _reject_unknown(raw, _DEFAULTS.keys(), "$")
-    merged = {**_DEFAULTS, **raw}
-
-    dataset = merged["dataset"]
-    _reject_unknown(dataset, {"synthetic", "idx"}, "$.dataset")
-    if ("synthetic" in dataset) == ("idx" in dataset):
-        raise ConfigError("exactly one of $.dataset.synthetic or $.dataset.idx must be present")
-    if "synthetic" in dataset:
-        syn = {**SYNTHETIC_DEFAULTS, **dataset["synthetic"]}
-        _reject_unknown(dataset["synthetic"], SYNTHETIC_DEFAULTS.keys(), "$.dataset.synthetic")
-        if not 2 <= syn["classes"] <= 8:
-            raise ConfigError(f"value {syn['classes']} at $.dataset.synthetic.classes outside [2, 8]")
-        dataset = {"synthetic": syn}
-    else:
-        idx = dataset["idx"]
-        _reject_unknown(idx, {"images", "labels"}, "$.dataset.idx")
-        for key in ("images", "labels"):
-            if key not in idx:
-                raise ConfigError(f"missing $.dataset.idx.{key}")
-        dataset = {"idx": dict(idx)}
-
-    backbone = dict(merged["backbone"])
-    _reject_unknown(backbone, _BACKBONE_KEYS, "$.backbone")
-
-    train_raw = dict(merged["train"])
-    _reject_unknown(train_raw, _TRAIN_KEYS, "$.train")
-    distill_raw = dict(train_raw.pop("distill", {}))
-    _reject_unknown(distill_raw, _DISTILL_KEYS, "$.train.distill")
-    if "alpha" in distill_raw:
-        _require_range(distill_raw["alpha"], 0.0, 1.0, "$.train.distill.alpha")
-    try:
-        distill = DistillParams(**distill_raw)
-    except ContractError as exc:
-        raise ConfigError(f"$.train.distill: {exc}") from exc
-    if "stage_attention" in train_raw:
-        train_raw["stage_attention"] = tuple(train_raw["stage_attention"])
-    try:
-        train = TrainConfig(distill=distill, **train_raw)
-    except ContractError as exc:
-        # TrainConfig's messages start with the name of the field they reject
-        key = str(exc).split(" ", 1)[0]
-        path = f"$.train.{key}" if key in _TRAIN_KEYS else "$.train"
-        raise ConfigError(f"{path}: {exc}") from exc
-    except TypeError as exc:
-        raise ConfigError(f"$.train: {exc}") from exc
-
-    hyperopt = {**_DEFAULTS["hyperopt"], **merged["hyperopt"]}
-    _reject_unknown(merged["hyperopt"], _HYPEROPT_KEYS, "$.hyperopt")
-    n_trials = hyperopt["n_trials"]
-    if not isinstance(n_trials, numbers.Integral) or n_trials < 1:
-        raise ConfigError(f"value {n_trials!r} at $.hyperopt.n_trials must be an integer >= 1")
-
-    repeat_seeds = list(merged["repeat_seeds"])
-    if not repeat_seeds:
-        raise ConfigError("$.repeat_seeds must contain at least one seed")
-
-    return ExperimentConfig(
-        dataset=dataset,
-        partition_seed=int(merged["partition_seed"]),
-        backbone=backbone,
-        train=train,
-        hyperopt=hyperopt,
-        output_dir=str(merged["output_dir"]),
-        repeat_seeds=repeat_seeds,
-    )
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
+    cfg = _resolve(raw, _SCHEMA, "$")
+    classes = cfg["dataset"].get("synthetic", {}).get("classes", 2)
+    if not 2 <= classes <= 8:
+        raise ConfigError(f"$.dataset.synthetic.classes must be in [2, 8], got {classes}")
+    n_trials = cfg["hyperopt"]["n_trials"]
+    if n_trials < 1:
+        raise ConfigError(f"$.hyperopt.n_trials must be >= 1, got {n_trials}")
+    train = cfg["train"]
+    train["distill"] = _build(DistillParams, train["distill"], "$.train.distill")
+    cfg["train"] = _build(TrainConfig, train, "$.train")
+    return ExperimentConfig(**cfg)
 
 
 def canonical_config(cfg: ExperimentConfig) -> str:

@@ -1,6 +1,7 @@
 """Dataset ingestion (IDX + seeded synthetic shapes), the 10/10/10/70 split, batching."""
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -64,7 +65,8 @@ class DatasetSplit:
 # ---------------------------------------------------------------------------
 
 def _read_exact(f, n, what, offset):
-    buf = f.read(n)
+    # n comes from a header that may be corrupt: read no more than the file holds
+    buf = f.read(min(n, os.fstat(f.fileno()).st_size - offset))
     if len(buf) != n:
         raise IdxFormatError(
             f"truncated IDX file: expected {n} bytes for {what} at offset {offset}, got {len(buf)}"
@@ -192,15 +194,14 @@ def partition(dataset: LabeledDataset, seed, stratified=False) -> DatasetSplit:
         raise ContractError(f"partition needs at least 10 samples, got {n}")
     rng = np.random.default_rng(seed)
     if stratified:
-        order = []
-        for c in range(dataset.num_classes):
-            idx = np.flatnonzero(dataset.labels == c)
-            order.append(rng.permutation(idx))
-        # interleave classes so each contiguous slice stays balanced
-        perm = np.concatenate([np.stack([o[i % len(o)] for o in order])
-                               for i in range(max(len(o) for o in order))])
-        _, first = np.unique(perm, return_index=True)
-        perm = perm[np.sort(first)]
+        order = [rng.permutation(np.flatnonzero(dataset.labels == c))
+                 for c in range(dataset.num_classes)]
+        # interleave classes so each contiguous slice stays balanced: row i
+        # holds each class's i-th sample, -1 where a class has run out
+        table = np.full((max(len(o) for o in order), len(order)), -1)
+        for c, o in enumerate(order):
+            table[:len(o), c] = o
+        perm = table[table >= 0]
     else:
         perm = rng.permutation(n)
     tenth = n // 10

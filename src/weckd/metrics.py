@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-from .losses import softmax_temperature
+from .losses import kd_loss
 from .tensor import ContractError
 
 __all__ = [
@@ -100,11 +100,6 @@ class TheoryReport:
     hierarchy_holds: bool        # R(M3) <= R(M2) <= R(M1)
 
 
-def _mean_kl(p_a, p_b):
-    return float((p_a * (np.log(np.maximum(p_a, 1e-12)) - np.log(np.maximum(p_b, 1e-12))))
-                 .sum(axis=1).mean())
-
-
 def theory_report(progression, test_logits) -> TheoryReport:
     """Empirical risk hierarchy, pairwise KL terms, and the attenuation estimate,
     from `runner.score_chain`'s progression rows and M1..M3 test-set logits.
@@ -120,9 +115,9 @@ def theory_report(progression, test_logits) -> TheoryReport:
     risks = [1.0 - row["test_acc"] for row in progression]
     gaps = [(1.0 - row["test_acc"]) - (1.0 - row["train_acc"]) for row in progression]
     z = test_logits
-    p = [softmax_temperature(zi, 1.0) for zi in z]
-    kl_m2_m1 = _mean_kl(p[1], p[0])
-    kl_m3_m2 = _mean_kl(p[2], p[1])
+    # kd_loss(student, teacher, T) is KL(teacher || student)
+    kl_m2_m1 = kd_loss(z[0], z[1], 1.0)
+    kl_m3_m2 = kd_loss(z[1], z[2], 1.0)
     denom = float(np.abs(z[1] - z[0]).sum(axis=1).mean())
     numer = float(np.abs(z[2] - z[1]).sum(axis=1).mean())
     beta_hat = None if denom == 0.0 else numer / denom

@@ -38,13 +38,8 @@ def load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 
 
 def backbone_for(cfg: ExperimentConfig, dataset: LabeledDataset) -> BackboneConfig:
-    n, c, h, w = dataset.images.shape
-    kwargs = {"input_size": (h, w, c), "num_classes": dataset.num_classes}
-    if "conv_blocks" in cfg.backbone:
-        kwargs["conv_blocks"] = tuple(cfg.backbone["conv_blocks"])
-    if "fc_width" in cfg.backbone:
-        kwargs["fc_width"] = cfg.backbone["fc_width"]
-    return BackboneConfig(**kwargs)
+    _, c, h, w = dataset.images.shape
+    return BackboneConfig(input_size=(h, w, c), num_classes=dataset.num_classes, **cfg.backbone)
 
 
 def score_chain(models, dataset, split):

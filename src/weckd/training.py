@@ -8,7 +8,7 @@ import numbers
 import os
 import struct
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -67,12 +67,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
-        for name in ("batch_size", "max_epochs"):
+        for name in ("batch_size", "max_epochs", "patience", "lr_patience"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:
                 raise ContractError(f"{name} must be an integer >= 1, got {value!r}")
-        if self.patience < 1:
-            raise ContractError(f"patience must be >= 1, got {self.patience}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ContractError(f"momentum must be in [0,1), got {self.momentum}")
         if not 0.0 < self.lr_decay_factor < 1.0:
             raise ContractError(f"lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
         if len(self.stage_attention) != 3:
@@ -365,14 +365,7 @@ VERSION = 1
 
 
 def _config_json(config: BackboneConfig) -> str:
-    return json.dumps({
-        "input_size": list(config.input_size),
-        "conv_blocks": list(config.conv_blocks),
-        "fc_width": config.fc_width,
-        "num_classes": config.num_classes,
-        "attention_enabled": config.attention_enabled,
-        "init_seed": config.init_seed,
-    }, sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
 
 
 def save_checkpoint(model: Model, path):
@@ -400,18 +393,17 @@ def save_checkpoint(model: Model, path):
 def _config_from_blob(blob, offset):
     try:
         d = json.loads(blob.decode("utf-8"))
-        return BackboneConfig(
-            input_size=tuple(d["input_size"]),
-            conv_blocks=tuple(d["conv_blocks"]),
-            fc_width=d["fc_width"],
-            num_classes=d["num_classes"],
-            attention_enabled=d["attention_enabled"],
-            init_seed=d["init_seed"],
-        )
-    except KeyError as exc:
-        raise CheckpointError(f"config blob at offset {offset} lacks key {exc}") from None
-    except (ValueError, TypeError, ContractError) as exc:
-        # ValueError covers bad UTF-8, bad JSON and ShapeError
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise CheckpointError(f"invalid config blob at offset {offset}: {exc}") from None
+    if not isinstance(d, dict):
+        raise CheckpointError(f"config blob at offset {offset} is not a JSON object")
+    names = {f.name for f in fields(BackboneConfig)}
+    for what, keys in (("lacks", names - d.keys()), ("has unknown", d.keys() - names)):
+        if keys:
+            raise CheckpointError(f"config blob at offset {offset} {what} keys {sorted(keys)}")
+    try:
+        return BackboneConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+    except (ValueError, TypeError, ContractError) as exc:  # ValueError covers ShapeError
         raise CheckpointError(f"invalid config blob at offset {offset}: {exc}") from None
 
 

@@ -4,10 +4,13 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weckd.backbone import BackboneConfig, build_model
 from weckd.cli import main
 from weckd.config import ConfigError, canonical_config, parse_config
+from weckd.data import LabeledDataset, generate_synthetic, write_idx
 from weckd.training import save_checkpoint
 
 
@@ -107,7 +110,26 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     assert [row["stage"] for row in payload["progression"]] == ["M1", "M2", "M3"]
 
 
-@pytest.mark.parametrize("key", ["batch_size", "max_epochs"])
+def test_train_on_idx_data_with_an_empty_class(tmp_path, capsys):
+    ds = generate_synthetic(60, 2, (12, 12), 0.1, seed=0)
+    images, labels = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx(LabeledDataset(ds.images, ds.labels * 2, ["a", "b", "c"], 3), images, labels)
+    doc = dict(TINY_EXPERIMENT, dataset={"idx": {"images": images, "labels": labels}})
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 0
+    assert (out_dir / "metrics.json").exists()
+
+
+def test_config_resolved_lists_the_resolved_backbone(tmp_path, capsys):
+    doc = dict(TINY_EXPERIMENT, backbone={"fc_width": 8})
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 0
+    resolved = json.loads((out_dir / "config_resolved.json").read_text())
+    assert resolved["backbone"] == {"conv_blocks": [16, 32, 64], "fc_width": 8}
+    assert resolved["hyperopt"] == {"n_trials": 5, "seed": 0}
+
+
+@pytest.mark.parametrize("key", ["batch_size", "max_epochs", "lr_patience"])
 @pytest.mark.parametrize("value", [0, 2.5])
 def test_train_bad_count_is_usage_error_naming_the_key(tmp_path, capsys, key, value):
     doc = json.loads(json.dumps(TINY_EXPERIMENT))
@@ -116,6 +138,85 @@ def test_train_bad_count_is_usage_error_naming_the_key(tmp_path, capsys, key, va
     assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
     assert f"$.train.{key}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+# mistyped values, and momentum outside [0, 1)
+BAD_DOCUMENTS = [
+    ({"partition_seed": "x"}, "$.partition_seed"),
+    ({"partition_seed": -1}, "$.partition_seed"),
+    ({"partition_seed": True}, "$.partition_seed"),
+    ({"repeat_seeds": 5}, "$.repeat_seeds"),
+    ({"repeat_seeds": []}, "$.repeat_seeds"),
+    ({"repeat_seeds": [0, -3]}, "$.repeat_seeds[1]"),
+    ({"hyperopt": 3}, "$.hyperopt"),
+    ({"hyperopt": {"seed": 1.5}}, "$.hyperopt.seed"),
+    ({"hyperopt": {"enabled": True}}, "$.hyperopt.enabled"),
+    ({"backbone": {"conv_blocks": 5}}, "$.backbone.conv_blocks"),
+    ({"backbone": {"fc_width": "8"}}, "$.backbone.fc_width"),
+    ({"train": {"distill": {"alpha": "x"}}}, "$.train.distill.alpha"),
+    ({"train": {"distill": {"t_squared_compensation": 1}}},
+     "$.train.distill.t_squared_compensation"),
+    ({"train": {"stage_attention": [0, 1, 1]}}, "$.train.stage_attention[0]"),
+    ({"train": {"learning_rate": None}}, "$.train.learning_rate"),
+    ({"train": {"patience": 1.5}}, "$.train.patience"),
+    ({"train": {"seed": "x"}}, "$.train.seed"),
+    ({"dataset": {"synthetic": {"n": 100.5}}}, "$.dataset.synthetic.n"),
+    ({"dataset": {"idx": {"images": 1, "labels": "l.idx"}}}, "$.dataset.idx.images"),
+    ({"output_dir": 5}, "$.output_dir"),
+    ({"train": {"momentum": 1.0}}, "$.train.momentum"),
+    ({"train": {"momentum": -0.1}}, "$.train.momentum"),
+]
+
+
+@pytest.mark.parametrize("doc, path", BAD_DOCUMENTS,
+                         ids=[p[2:].replace("[", "_").rstrip("]") for _, p in BAD_DOCUMENTS])
+def test_bad_config_is_usage_error_naming_the_path(tmp_path, capsys, doc, path):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.fixture(scope="module")
+def default_tree(tmp_path_factory):
+    """The resolved default config as JSON, with an idx source beside the synthetic one."""
+    path = tmp_path_factory.mktemp("default") / "config.json"
+    path.write_text("{}")
+    tree = json.loads(canonical_config(parse_config(str(path))))
+    tree["dataset"]["idx"] = {"images": "images.idx", "labels": "labels.idx"}
+    return tree
+
+
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: (st.lists(children, max_size=3)
+                      | st.dictionaries(st.text(max_size=3), children, max_size=3)),
+    max_leaves=8)
+
+
+def _near(tree):
+    """JSON shaped like `tree` (any subset of its keys, lists of any length),
+    where any node may be replaced by an arbitrary JSON value."""
+    if isinstance(tree, dict):
+        shaped = st.fixed_dictionaries({}, optional={k: _near(v) for k, v in tree.items()})
+    elif isinstance(tree, list):
+        shaped = st.lists(_near(tree[0]), max_size=4)
+    else:
+        shaped = st.just(tree) | st.integers() | st.floats()
+    return shaped | ANY_JSON
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_config_returns_or_raises_config_error(tmp_path_factory, default_tree, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(data.draw(_near(default_tree))))
+    try:
+        cfg = parse_config(str(path))
+    except ConfigError:
+        return
+    path.write_text(canonical_config(cfg))
+    assert parse_config(str(path)) == cfg
 
 
 def test_train_missing_config_is_usage_error(tmp_path, capsys):
@@ -220,6 +321,14 @@ def test_eval_rejects_config_blob_without_key(tmp_path, capsys):
     code, out = _run_eval(ckpt, data, capsys)
     assert code == 1
     assert "offset 12" in out.err and "fc_width" in out.err
+
+
+def test_eval_rejects_config_blob_with_an_unknown_key(tmp_path, capsys):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+    _rewrite_config_blob(ckpt, lambda blob: blob[:-1] + b',"dropout":0.5}')
+    code, out = _run_eval(ckpt, data, capsys)
+    assert code == 1
+    assert "offset 12" in out.err and "dropout" in out.err
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

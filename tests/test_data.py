@@ -1,3 +1,6 @@
+import struct
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,39 @@ def test_idx_count_mismatch(tmp_path):
     write_idx(b, ipb, lpb)
     with pytest.raises(IdxFormatError, match="mismatch"):
         load_idx(ipa, lpb)
+
+
+def test_idx_reader_fuzz_gives_only_idx_errors(tmp_path):
+    # every truncation and four flips of every byte of each file of a pair:
+    # each variant loads or raises IdxFormatError, never another exception
+    ds = generate_synthetic(20, 2, (4, 4), 0.1, seed=0)
+    small = LabeledDataset(ds.images[:5], ds.labels[:5], ds.class_names, 2)
+    paths = [tmp_path / "i.idx", tmp_path / "l.idx"]
+    write_idx(small, *map(str, paths))
+    outcomes = Counter()
+    for path in paths:
+        data = path.read_bytes()
+        variants = [data[:n] for n in range(len(data))]
+        variants += [data[:i] + bytes([data[i] ^ mask]) + data[i + 1:]
+                     for i in range(len(data)) for mask in (0x01, 0x10, 0x80, 0xFF)]
+        for raw in variants:
+            path.write_bytes(raw)
+            try:
+                load_idx(*map(str, paths))
+                outcomes["loaded"] += 1
+            except IdxFormatError:
+                outcomes["refused"] += 1
+        path.write_bytes(data)
+    assert sum(outcomes.values()) == 5 * (16 + 5 * 16 + 8 + 5)
+    assert outcomes["loaded"] and outcomes["refused"]
+
+
+def test_idx_header_larger_than_file_is_refused_before_reading(tmp_path):
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    ip.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFFFFFF, 0xFFFFFFFF) + b"\0" * 4)
+    lp.write_bytes(struct.pack(">II", 0x801, 1) + b"\0")
+    with pytest.raises(IdxFormatError, match="offset 16, got 4"):
+        load_idx(str(ip), str(lp))
 
 
 def test_generate_balanced_classes():
@@ -135,6 +171,16 @@ def test_partition_stratified_balances_slices():
     for subset in (split.d1, split.d2, split.d3):
         counts = np.bincount(ds.labels[subset], minlength=4)
         assert counts.max() - counts.min() <= 1
+
+
+@pytest.mark.parametrize("stratified", [False, True])
+def test_partition_with_an_empty_class_is_disjoint_and_complete(stratified):
+    ds = generate_synthetic(60, 2, (8, 8), 0.0, seed=0)
+    ds = LabeledDataset(ds.images, ds.labels * 2, ["a", "b", "c"], 3)  # no class 1
+    split = partition(ds, 0, stratified=stratified)
+    merged = np.concatenate([split.d1, split.d2, split.d3, split.d_test])
+    np.testing.assert_array_equal(np.sort(merged), np.arange(60))
+    assert [len(split.d1), len(split.d2), len(split.d3)] == [6, 6, 6]
 
 
 def test_partition_minimum_size():

@@ -135,6 +135,15 @@ def test_theory_report_identical_models():
     assert all(0.0 <= r <= 1.0 for r in report.risks)
 
 
+def test_theory_report_kl_terms_put_the_later_model_first():
+    z = [np.random.default_rng(seed).normal(size=(50, 3)) for seed in range(3)]
+    p = [np.exp(zi) / np.exp(zi).sum(axis=1, keepdims=True) for zi in z]
+    progression = [{"train_acc": 1.0, "test_acc": 1.0}] * 3
+    report = theory_report(progression, z)
+    for kl, (a, b) in ((report.kl_m2_m1, (1, 0)), (report.kl_m3_m2, (2, 1))):
+        assert kl == pytest.approx((p[a] * np.log(p[a] / p[b])).sum(axis=1).mean(), rel=1e-12)
+
+
 def test_theory_report_deterministic():
     models = _tiny_chain_models()
     a = theory_report(*_tiny_chain_scores(models))
