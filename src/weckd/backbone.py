@@ -49,7 +49,7 @@ class BackboneConfig:
             h, w = h // 2, w // 2  # same-padded 3x3 conv, then 2x2 pool
             if h < 1 or w < 1:
                 raise ShapeError(
-                    f"conv block {i} collapses spatial size below 1x1 "
+                    f"conv_blocks collapse the spatial size below 1x1 at block {i} "
                     f"for input {self.input_size[:2]}"
                 )
 

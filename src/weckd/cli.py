@@ -68,7 +68,7 @@ def _shape_errors(path):
         yield
     except KeyError as exc:
         raise RuntimeError(f"{path} lacks key {exc}") from None
-    except (IndexError, TypeError, ValueError) as exc:
+    except (IndexError, OverflowError, TypeError, ValueError) as exc:
         raise RuntimeError(f"{path} has the wrong shape: {exc}") from None
 
 
@@ -167,6 +167,9 @@ def main(argv=None):
     except (IdxFormatError, CheckpointError, NumericError, StudyError,
             OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .backbone import BackboneConfig
 from .losses import DistillParams
-from .tensor import ContractError
+from .tensor import ContractError, ShapeError
 from .training import TrainConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "canonical_config"]
@@ -90,11 +90,11 @@ def _resolve(value, default, path):
     return value
 
 
-def _build(cls, fields, path):
-    """cls(**fields), with a ContractError reported at the path of the field it names."""
+def _build(cls, fields, path, **fixed):
+    """cls(**fixed, **fields), with a rejection reported at the path of the field it names."""
     try:
-        return cls(**fields)
-    except ContractError as exc:
+        return cls(**fixed, **fields)
+    except (ContractError, ShapeError) as exc:
         # the dataclasses' messages start with the name of the field they reject
         key = str(exc).split(" ", 1)[0]
         raise ConfigError(f"{path}.{key}: {exc}" if key in fields else f"{path}: {exc}") from None
@@ -108,9 +108,11 @@ def parse_config(path) -> ExperimentConfig:
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     cfg = _resolve(raw, _SCHEMA, "$")
-    classes = cfg["dataset"].get("synthetic", {}).get("classes", 2)
-    if not 2 <= classes <= 8:
-        raise ConfigError(f"$.dataset.synthetic.classes must be in [2, 8], got {classes}")
+    synthetic = cfg["dataset"].get("synthetic")
+    if synthetic and not 2 <= synthetic["classes"] <= 8:
+        raise ConfigError(f"$.dataset.synthetic.classes must be in [2, 8], got {synthetic['classes']}")
+    if synthetic and synthetic["n"] < 10 * synthetic["classes"]:
+        raise ConfigError(f"$.dataset.synthetic.n must be >= 10 * classes, got {synthetic['n']}")
     n_trials = cfg["hyperopt"]["n_trials"]
     if n_trials < 1:
         raise ConfigError(f"$.hyperopt.n_trials must be >= 1, got {n_trials}")

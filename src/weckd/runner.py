@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .backbone import BackboneConfig
-from .config import ExperimentConfig, canonical_config
+from .config import ExperimentConfig, _build, canonical_config
 from .data import LabeledDataset, generate_synthetic, load_idx, partition
 from .metrics import confusion_matrix, prf1, roc_auc_ovr, theory_report
 from .losses import softmax_temperature
@@ -38,8 +38,10 @@ def load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 
 
 def backbone_for(cfg: ExperimentConfig, dataset: LabeledDataset) -> BackboneConfig:
+    """The configured backbone sized for `dataset`; a size it rejects is a ConfigError."""
     _, c, h, w = dataset.images.shape
-    return BackboneConfig(input_size=(h, w, c), num_classes=dataset.num_classes, **cfg.backbone)
+    return _build(BackboneConfig, cfg.backbone, "$.backbone",
+                  input_size=(h, w, c), num_classes=dataset.num_classes)
 
 
 def score_chain(models, dataset, split):
@@ -153,11 +155,9 @@ def _dataset_name(cfg: ExperimentConfig):
     return os.path.basename(cfg.dataset["idx"]["images"])
 
 
-def _run_one_seed(cfg, dataset, seed, out_dir):
+def _run_one_seed(cfg, dataset, split, backbone, seed, out_dir):
     os.makedirs(out_dir, exist_ok=True)
-    split = partition(dataset, cfg.partition_seed, stratified=True)
     train_cfg = replace(cfg.train, seed=seed)
-    backbone = backbone_for(cfg, dataset)
     chain = run_chain(dataset, split, train_cfg, backbone)
     models = [r.model for r in chain.stage_results]
     for i, model in enumerate(models):
@@ -178,15 +178,19 @@ def _run_one_seed(cfg, dataset, seed, out_dir):
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run the chain for every seed in repeat_seeds; emit all run artifacts."""
     out_dir = out_dir or cfg.output_dir
+    # whatever can reject the config or the data runs before the run directory exists
+    dataset = load_dataset(cfg)
+    split = partition(dataset, cfg.partition_seed, stratified=True)
+    backbone = backbone_for(cfg, dataset)
     os.makedirs(out_dir, exist_ok=True)
     with _replacing(os.path.join(out_dir, "config_resolved.json")) as tmp:
         _write_text(tmp, canonical_config(cfg))
-    dataset = load_dataset(cfg)
     if len(cfg.repeat_seeds) == 1:
-        return _run_one_seed(cfg, dataset, cfg.repeat_seeds[0], out_dir)
+        return _run_one_seed(cfg, dataset, split, backbone, cfg.repeat_seeds[0], out_dir)
     summary = {}
     for seed in cfg.repeat_seeds:
-        payload = _run_one_seed(cfg, dataset, seed, os.path.join(out_dir, f"seed_{seed}"))
+        payload = _run_one_seed(cfg, dataset, split, backbone, seed,
+                                os.path.join(out_dir, f"seed_{seed}"))
         summary[str(seed)] = {"accuracy": payload["accuracy"],
                               "deltas": payload["deltas"]}
     with _replacing(os.path.join(out_dir, "summary.json")) as tmp:
@@ -197,10 +201,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
     """TPE study over (eta, alpha, t_max); objective is M3 validation accuracy."""
     out_dir = out_dir or cfg.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     dataset = load_dataset(cfg)
     split = partition(dataset, cfg.partition_seed, stratified=True)
     backbone = backbone_for(cfg, dataset)
+    os.makedirs(out_dir, exist_ok=True)
     base_train = cfg.train
 
     def objective(eta, alpha, temp):

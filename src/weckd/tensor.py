@@ -365,7 +365,8 @@ def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
 
 def finite_diff_check(forward_fn, grad_fn, params, eps=1e-5,
                       max_coords_per_param=None, seed=0):
-    """Compare analytic gradients to central finite differences.
+    """Compare analytic gradients to central finite differences: the gradient
+    oracle that the tests and the acceptance gate check the tape against.
 
     forward_fn(params) -> scalar loss; grad_fn(params) -> {name: grad}.
     Returns the maximum relative error over checked coordinates, with

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
 import struct
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -100,32 +99,14 @@ def _one_hot(labels, k):
     return out
 
 
-def _map_batches(fn, batches):
-    """[fn(batch) for batch in batches], on a WECKD_THREADS pool when it is > 1."""
-    raw = os.environ.get("WECKD_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ContractError(f"WECKD_THREADS must be a positive integer, got {raw!r}")
-    if threads > 1 and len(batches) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, batches))
-    return [fn(b) for b in batches]
-
-
 def _ce_correct(probs, y):
     ce = -(np.log(np.maximum(probs[np.arange(y.size), y], 1e-12)))
     return ce.sum(), (probs.argmax(axis=1) == y).sum(), y.size
 
 
 def _logits(model, dataset, indices, batch_size):
-    """`forward` over `indices` in batches of `batch_size`, stacked; the
-    batches run on a WECKD_THREADS pool when it is > 1."""
-    batches = make_batches(dataset, indices, batch_size)
-    return np.concatenate(_map_batches(lambda item: forward(model, item[0]), batches), axis=0)
+    """`forward` over `indices` in batches of `batch_size`, stacked."""
+    return np.concatenate([forward(model, x) for x, _ in make_batches(dataset, indices, batch_size)])
 
 
 def evaluate(model, dataset, indices, batch_size=256):
@@ -135,7 +116,7 @@ def evaluate(model, dataset, indices, batch_size=256):
 
 
 def logits_of(model, dataset, indices, batch_size=256):
-    """Stacked logits over `indices`, inference mode (WECKD_THREADS pool as in evaluate)."""
+    """Stacked logits over `indices`, inference mode, batched as in evaluate."""
     return _logits(model, dataset, indices, batch_size)
 
 

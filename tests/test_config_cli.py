@@ -1,12 +1,18 @@
+import contextlib
+import copy
+import functools
+import io
 import json
+import operator
 import os
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import weckd.runner
 from weckd.backbone import BackboneConfig, build_model
 from weckd.cli import main
 from weckd.config import ConfigError, canonical_config, parse_config
@@ -174,6 +180,37 @@ def test_bad_config_is_usage_error_naming_the_path(tmp_path, capsys, doc, path):
     out_dir = tmp_path / "run"
     assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
     assert path in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+# sizes that are checked against the data (or against another key)
+SIZE_DOCUMENTS = [
+    ({"backbone": {"fc_width": 0}}, "$.backbone.fc_width"),
+    ({"backbone": {"conv_blocks": [0]}}, "$.backbone.conv_blocks"),
+    ({"backbone": {"conv_blocks": [4] * 6}}, "$.backbone.conv_blocks"),  # 32x32 collapses
+    ({"dataset": {"synthetic": {"n": 20}}}, "$.dataset.synthetic.n"),
+]
+
+
+@pytest.mark.parametrize("command", ["train", "tune"])
+@pytest.mark.parametrize("doc, path", SIZE_DOCUMENTS,
+                         ids=["fc_width", "conv_blocks_zero", "conv_blocks_collapse", "n"])
+def test_bad_size_is_usage_error_before_the_run_directory(tmp_path, capsys, command, doc, path):
+    out_dir = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
+    assert path in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_out_of_memory_is_runtime_error_naming_it(tmp_path, capsys, monkeypatch):
+    def too_big(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(weckd.runner, "generate_synthetic", too_big)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, {}), "--out-dir", str(out_dir)]) == 1
+    err = capsys.readouterr().err
+    assert "out of memory" in err and "74.5 GiB" in err and "Traceback" not in err
     assert not out_dir.exists()
 
 
@@ -396,14 +433,6 @@ def test_eval_rejects_config_blob_with_zero_channels(tmp_path, capsys):
     assert "config blob at offset 12" in out.err and "input_size" in out.err
 
 
-def test_eval_bad_thread_count_is_usage_error(tmp_path, capsys, monkeypatch):
-    ckpt, data = _eval_inputs(tmp_path, capsys)
-    monkeypatch.setenv("WECKD_THREADS", "two")
-    code, out = _run_eval(ckpt, data, capsys)
-    assert code == 2
-    assert "WECKD_THREADS" in out.err and "'two'" in out.err
-
-
 def test_eval_requires_data_flag():
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--checkpoint", "x.wckd"])
@@ -456,6 +485,59 @@ def test_report_wrong_shape_is_runtime_error_naming_the_file_and_key(tmp_path, c
     assert main(["report", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert str(tmp_path / name) in err and key in err and "Traceback" not in err
+
+
+# the keys `weckd report` reads from a run's metrics.json and summary.json
+METRICS_TREE = {
+    "progression": [{"stage": "M1", "train_acc": 0.5, "test_acc": 0.5,
+                     "train_loss": 1.0, "test_loss": 1.0}],
+    "theory": {"hierarchy_holds": True, "risks": [0.5, 0.4, 0.3],
+               "kl_m2_m1": 0.1, "kl_m3_m2": 0.1, "beta_hat": 0.5},
+}
+SEED_ROW = {"accuracy": 0.5, "deltas": {"m1_to_m2": 0.0, "m2_to_m3": 0.0, "m1_to_m3": 0.0}}
+SUMMARY_TREE = {"0": SEED_ROW, "7": SEED_ROW}
+BEYOND_FLOAT = st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
+
+
+def _nodes(tree, path=()):
+    """The path of every node in `tree`, its own () first."""
+    yield path
+    if isinstance(tree, (dict, list)):
+        for key, child in (tree.items() if isinstance(tree, dict) else enumerate(tree)):
+            yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def _mutated(draw, tree):
+    """`tree` with up to three nodes each replaced by arbitrary JSON (integers
+    beyond the float range included) or, the whole tree excepted, deleted."""
+    holder = [copy.deepcopy(tree)]
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.sampled_from(list(_nodes(holder))[1:]))
+        parent = functools.reduce(operator.getitem, path[:-1], holder)
+        if len(path) > 1 and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(ANY_JSON | BEYOND_FLOAT)
+    return holder[0]
+
+
+@example(files={"metrics.json": dict(METRICS_TREE, progression=[
+    dict(METRICS_TREE["progression"][0], train_acc=10 ** 400)])})
+@settings(max_examples=200, deadline=None)
+@given(files=st.one_of(
+    st.fixed_dictionaries({"metrics.json": _mutated(METRICS_TREE)}),
+    st.fixed_dictionaries({"summary.json": _mutated(SUMMARY_TREE),
+                           **{f"seed_{k}/metrics.json": _mutated(METRICS_TREE)
+                              for k in SUMMARY_TREE}}),
+))
+def test_report_on_any_run_files_returns_0_or_1(tmp_path_factory, files):
+    run_dir = tmp_path_factory.mktemp("run")
+    for name, payload in files.items():
+        (run_dir / name).parent.mkdir(exist_ok=True)
+        (run_dir / name).write_text(json.dumps(payload))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["report", str(run_dir)]) in (0, 1)
 
 
 def test_tune_trials_default_to_the_config(tmp_path, capsys):

@@ -1,6 +1,5 @@
 import json
 import os
-import threading
 from collections import Counter
 from dataclasses import replace
 
@@ -236,34 +235,6 @@ def test_single_baseline_uses_all_training_subsets():
     assert res.steps_per_epoch == int(np.ceil((27 - 2) / 8))
 
 
-def test_evaluate_thread_pool_matches_sequential(monkeypatch):
-    ds, split = tiny_setup(n=90)
-    model = build_model(TINY_BB)
-    ds_all = generate_synthetic(600, 3, (12, 12), 0.1, seed=1)  # 3 batches of 256
-
-    def passes():
-        return (evaluate(model, ds, split.d_test, batch_size=8),
-                logits_of(model, ds, split.d_test, batch_size=8),
-                evaluate_model(model, ds_all))
-
-    monkeypatch.delenv("WECKD_THREADS", raising=False)
-    seq = passes()
-    monkeypatch.setenv("WECKD_THREADS", "4")
-    workers = set()
-    real = weckd.training.forward
-
-    def on_thread(model, batch):
-        workers.add(threading.get_ident())
-        return real(model, batch)
-
-    monkeypatch.setattr(weckd.training, "forward", on_thread)
-    par = passes()
-    assert threading.get_ident() not in workers  # every pass ran on the pool
-    assert seq[0] == par[0]
-    np.testing.assert_array_equal(seq[1], par[1])
-    assert seq[2] == par[2]
-
-
 def test_logits_loss_matches_evaluate_bit_for_bit():
     ds = generate_synthetic(600, 3, (12, 12), 0.1, seed=2)
     model = build_model(TINY_BB)
@@ -282,7 +253,6 @@ def test_epoch_order_is_a_seeded_permutation():
 
 
 def test_teacher_scores_each_training_image_once_per_stage(monkeypatch):
-    monkeypatch.delenv("WECKD_THREADS", raising=False)  # the counter is not thread-safe
     ds, split = tiny_setup(n=200)
     teacher = build_model(TINY_BB)
     seen = Counter()
@@ -327,7 +297,6 @@ def test_forward_logits_do_not_depend_on_the_batch_size():
 
 def _count_forward_images(monkeypatch):
     """Wrap the network's inference pass; count how often each image goes through."""
-    monkeypatch.delenv("WECKD_THREADS", raising=False)  # the counter is not thread-safe
     seen = Counter()
     real = weckd.training.forward
 
