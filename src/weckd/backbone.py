@@ -136,6 +136,9 @@ def _layers(ops, p, x, config):
 # the conv output) fits in this many bytes: well under glibc's 32 MiB mmap
 # ceiling, so no conv call maps and faults in fresh pages, and a tile's columns
 # stay close to the per-core L2 (2, 4 and 8 MiB measured alike; 16 was slower).
+# With the contiguous-run im2col, 10 alternating `eval` pairs each (2-core VM,
+# 12 s runs) gave median op_s 0.758 s at 4 MiB vs 0.778 s here (4 MiB won 7/10)
+# and 0.806 s at 16 MiB vs 0.794 s (16 MiB won 4/10): no clear winner.
 TILE_BYTES = 8 << 20
 
 

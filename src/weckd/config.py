@@ -52,13 +52,21 @@ _TYPE_NAMES = {bool: "a boolean", int: "an integer >= 0", float: "a finite numbe
                str: "a string"}
 
 
+def _finite(number):
+    """False for inf, nan and an integer beyond the float range."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:
+        return False
+
+
 def _resolve(value, default, path):
     """`value` checked against the type of `default` and filled from it.
 
-    A float also takes an int, nothing takes a bool unless its default is
-    one, integers are non-negative, a list is non-empty and each item has
-    the type of the default's first item, and a dict is a section: unknown
-    keys are rejected and missing keys are filled.
+    A float also takes an int that converts to a finite float, nothing takes
+    a bool unless its default is one, integers are non-negative, a list is
+    non-empty and each item has the type of the default's first item, and a
+    dict is a section: unknown keys are rejected and missing keys are filled.
     """
     if isinstance(default, dict):
         if not isinstance(value, dict):
@@ -84,7 +92,7 @@ def _resolve(value, default, path):
     kind = default if isinstance(default, type) else type(default)
     if (not isinstance(value, (int, float) if kind is float else kind)
             or (isinstance(value, bool) and kind is not bool)
-            or (isinstance(value, float) and not math.isfinite(value))
+            or (kind is float and not _finite(value))
             or (kind is int and value < 0)):
         raise ConfigError(f"{path} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return value

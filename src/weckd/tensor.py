@@ -10,10 +10,18 @@ backbone needs (conv2d, relu, 2x2 maxpool, dense, GAP, and a
 spatial attention gate with its per-location scaling). The pure functions
 and the `Tape` methods share names, so the backbone's one layer sequence
 runs on either. No general computation graph.
+
+conv2d has one geometry: odd square kernels, stride 1, same padding. That
+lets im2col copy each shifted window of a flattened, row-padded plane as one
+contiguous run, and col2im add it back the same way. maxpool2 takes the max
+of column pairs, then of row pairs, and the tape keeps one first-wins mask
+per pass. The copies feed the same GEMMs in the same order,
+so no result depends on these layouts.
 """
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "ShapeError",
@@ -44,42 +52,59 @@ class NumericError(ArithmeticError):
 # pure forward primitives (numpy in, numpy out)
 # ---------------------------------------------------------------------------
 
-def _out_size(n, k, stride, pad):
-    return (n + 2 * pad - k) // stride + 1
-
-
-def _im2col(x, k, stride, pad):
-    # x: (B, C, H, W) -> cols (B, C*k*k, Ho*Wo), rows in (c, i, j) order, so
-    # one matmul with the (F, C*k*k) kernel matrix gives (B, F, Ho*Wo) = NCHW
+def _im2col(x, k):
+    # x: (B, C, H, W) -> cols (B, C*k*k, H*W) for a stride-1 same-padded k x k
+    # kernel, rows in (c, i, j) order, so one matmul with the (F, C*k*k) kernel
+    # matrix gives (B, F, H*W) = NCHW. Each plane is padded only above and
+    # below and flattened between p guard zeros, so shift (i, j) is the one
+    # contiguous run xf[b, c, i*W + j:][:H*W]. All k*k runs are copied in one
+    # pass that writes cols in memory order; the entries of a run that
+    # wrapped round a row edge are then zeroed.
     B, C, H, W = x.shape
-    Ho = _out_size(H, k, stride, pad)
-    Wo = _out_size(W, k, stride, pad)
-    if pad:
-        xp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad:pad + H, pad:pad + W] = x
-    else:
-        xp = x
-    cols = np.empty((B, C, k, k, Ho, Wo), dtype=x.dtype)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * (Ho - 1) + 1:stride,
-                                  j:j + stride * (Wo - 1) + 1:stride]
-    return cols.reshape(B, C * k * k, Ho * Wo), Ho, Wo
+    p = k // 2
+    head = p + p * W
+    xf = np.empty((B, C, H * W + 2 * head), dtype=x.dtype)
+    xf[:, :, :head] = 0
+    xf[:, :, head + H * W:] = 0
+    xf[:, :, head:head + H * W] = x.reshape(B, C, H * W)
+    step = xf.itemsize
+    # the last run ends at xf[b, c, (k-1)*W + (k-1) + H*W - 1], the plane's last element
+    runs = as_strided(xf, (B, C, k, k, H * W), xf.strides[:2] + (W * step, step, step),
+                      writeable=False)
+    cols = runs.copy()
+    _zero_wrapped(cols, H, W)
+    return cols.reshape(B, C * k * k, H * W)
 
 
-def _col2im(dcols, xshape, k, stride, pad):
-    # dcols: (B, C*k*k, Ho*Wo) in _im2col's layout -> dx (B, C, H, W),
-    # the scatter-add of every patch back onto the input it was cut from
+def _zero_wrapped(cols, H, W):
+    """Zero the entries of (B, C, k, k, H*W) shifted runs that wrapped a row
+    edge: the first p - j columns of each row for j < p, the last j - p for j > p."""
+    B, C, k = cols.shape[:3]
+    p = k // 2
+    grid = cols.reshape(B, C, k, k, H, W)
+    for j in range(k):
+        if j < p:
+            grid[:, :, :, j, :, :p - j] = 0
+        elif j > p:
+            grid[:, :, :, j, :, p - j:] = 0
+
+
+def _col2im(dcols, xshape, k):
+    # the adjoint of _im2col: dcols (B, C*k*k, H*W) -> dx (B, C, H, W). The
+    # wrapped entries of dcols are zeroed in place (it is the caller's own
+    # temporary), then each shift's run is added back onto the flat padded
+    # plane in (i, j) order. The extra terms are +0.0 and the accumulator
+    # starts at +0.0, so they change no bits.
     B, C, H, W = xshape
-    Ho = _out_size(H, k, stride, pad)
-    Wo = _out_size(W, k, stride, pad)
-    d = dcols.reshape(B, C, k, k, Ho, Wo)
-    dxp = np.zeros((B, C, H + 2 * pad, W + 2 * pad), dtype=dcols.dtype)
+    p = k // 2
+    head = p + p * W
+    d = dcols.reshape(B, C, k, k, H * W)
+    _zero_wrapped(d, H, W)
+    dxf = np.zeros((B, C, H * W + 2 * head), dtype=dcols.dtype)
     for i in range(k):
         for j in range(k):
-            dxp[:, :, i:i + stride * (Ho - 1) + 1:stride,
-                j:j + stride * (Wo - 1) + 1:stride] += d[:, :, i, j]
-    return dxp[:, :, pad:pad + H, pad:pad + W]
+            dxf[:, :, i * W + j:i * W + j + H * W] += d[:, :, i, j]
+    return dxf[:, :, head:head + H * W].reshape(B, C, H, W)
 
 
 def _conv2d_forward(x, w, b, stride, pad):
@@ -97,19 +122,21 @@ def _conv2d_forward(x, w, b, stride, pad):
     k = w.shape[2]
     if k != w.shape[3]:
         raise ShapeError(f"conv2d kernels must be square, got {w.shape}")
-    if stride < 1:
-        raise ContractError(f"conv2d stride must be >= 1, got {stride}")
-    if k > x.shape[2] + 2 * pad or k > x.shape[3] + 2 * pad:
-        raise ShapeError(f"kernel {k}x{k} larger than padded input {x.shape} with pad={pad}")
-    cols, Ho, Wo = _im2col(x, k, stride, pad)
+    if stride != 1 or k % 2 == 0 or pad != k // 2:
+        raise ContractError(
+            f"conv2d supports only stride 1 with same padding (odd k, pad = k // 2), "
+            f"got stride={stride}, pad={pad} for a {k}x{k} kernel"
+        )
+    cols = _im2col(x, k)
     F = w.shape[0]
     out = np.matmul(w.reshape(F, -1), cols)
     out += b.reshape(F, 1)
-    return out.reshape(x.shape[0], F, Ho, Wo), cols
+    return out.reshape(x.shape[0], F, x.shape[2], x.shape[3]), cols
 
 
 def conv2d(x, w, b, stride=1, pad=0):
-    """Cross-correlation of x (B,C,H,W) with kernels w (F,C,k,k) plus bias."""
+    """Stride-1 same-padded cross-correlation of x (B,C,H,W) with odd kernels
+    w (F,C,k,k) plus bias; `pad` must be k // 2."""
     return _conv2d_forward(x, w, b, stride, pad)[0]
 
 
@@ -127,19 +154,30 @@ def sigmoid(x):
     return out
 
 
-def _pool_views(x):
-    """The four stride-2 views of x's 2x2 windows, in row-major window order."""
+def _col_pairs(x):
+    """The left and right columns of x's 2x2 windows, with odd trailing rows
+    and columns dropped: two (B, C, 2*H2, W2) views, each one flat run of
+    stride 2 when H and W are even."""
     B, C, H, W = x.shape
     H2, W2 = H // 2, W // 2
     if H2 == 0 or W2 == 0:
         raise ShapeError(f"maxpool2 needs spatial size >= 2, got {x.shape}")
-    return [x[:, :, i:2 * H2:2, j:2 * W2:2] for i in (0, 1) for j in (0, 1)]
+    v = x[:, :, :2 * H2, :2 * W2].reshape(B, C, 2 * H2, W2, 2)
+    return v[..., 0], v[..., 1]
+
+
+def _row_pairs(a):
+    """The top and bottom rows of each window of a (B, C, 2*H2, W2) array."""
+    B, C, H, W2 = a.shape
+    v = a.reshape(B, C, H // 2, 2, W2)
+    return v[:, :, :, 0], v[:, :, :, 1]
 
 
 def maxpool2(x):
-    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped."""
-    v = _pool_views(x)
-    return np.maximum(np.maximum(v[0], v[1]), np.maximum(v[2], v[3]))
+    """2x2 max pooling, stride 2; odd trailing rows/columns are dropped.
+
+    Columns first, then rows: max(max(v00, v01), max(v10, v11))."""
+    return np.maximum(*_row_pairs(np.maximum(*_col_pairs(x))))
 
 
 def dense(x, w, b):
@@ -220,10 +258,10 @@ class Tape:
 
         def vjp_x(g):
             dcols = np.matmul(w2.T, g.reshape(g.shape[0], wshape[0], -1))
-            return _col2im(dcols, xshape, wshape[2], stride, pad)
+            return _col2im(dcols, xshape, wshape[2])
 
         def vjp_w(g):
-            # per-image (F, Ho*Wo) @ (Ho*Wo, C*k*k), summed over the batch
+            # per-image (F, H*W) @ (H*W, C*k*k), summed over the batch
             g3 = g.reshape(g.shape[0], wshape[0], -1)
             return np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wshape)
 
@@ -237,20 +275,26 @@ class Tape:
         return self._add(_Node(x.value * mask, ((x, lambda g: g * mask),)))
 
     def maxpool2(self, x):
-        views = _pool_views(x.value)
-        out = maxpool2(x.value)
-        # one mask per window position; on ties the first (row-major) max wins
-        masks, taken = [], np.zeros(out.shape, dtype=bool)
-        for v in views:
-            m = (v == out) & ~taken
-            taken |= m
-            masks.append(m)
+        left, right = _col_pairs(x.value)
+        cols = np.maximum(left, right)
+        top, bottom = _row_pairs(cols)
+        out = np.maximum(top, bottom)
+        # the first of each tied pair wins: with columns paired before rows
+        # that is the window's first max in row-major order
+        first_col, first_row = left >= right, top >= bottom
         shape, dtype = x.value.shape, x.value.dtype
+        odd = shape[2] % 2 or shape[3] % 2
 
         def vjp(g):
-            dx = np.zeros(shape, dtype=dtype)
-            for dv, m in zip(_pool_views(dx), masks):
-                np.multiply(g, m, out=dv)
+            dx = (np.zeros if odd else np.empty)(shape, dtype=dtype)
+            dleft, dright = _col_pairs(dx)
+            # the right columns first hold the gradient of the column maxima,
+            # then, after the left columns have taken their share, their own
+            dtop, dbottom = _row_pairs(dright)
+            np.multiply(g, first_row, out=dtop)
+            np.multiply(g, ~first_row, out=dbottom)
+            np.multiply(dright, first_col, out=dleft)
+            np.multiply(dright, ~first_col, out=dright)
             return dx
 
         return self._add(_Node(out, ((x, vjp),)))

@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+import math
 import operator
 import os
 import struct
@@ -183,6 +184,22 @@ def test_bad_config_is_usage_error_naming_the_path(tmp_path, capsys, doc, path):
     assert not out_dir.exists()
 
 
+HUGE = 10 ** 400  # an integer beyond the float range
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"train": {"learning_rate": HUGE}}, "$.train.learning_rate"),
+    ({"train": {"distill": {"alpha": HUGE}}}, "$.train.distill.alpha"),
+    ({"dataset": {"synthetic": {"noise_std": HUGE}}}, "$.dataset.synthetic.noise_std"),
+], ids=["learning_rate", "alpha", "noise_std"])
+def test_float_key_rejects_an_integer_beyond_the_float_range(tmp_path, capsys, doc, path):
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert path in err and "Traceback" not in err
+    assert not out_dir.exists()
+
+
 # sizes that are checked against the data (or against another key)
 SIZE_DOCUMENTS = [
     ({"backbone": {"fc_width": 0}}, "$.backbone.fc_width"),
@@ -229,6 +246,7 @@ ANY_JSON = st.recursive(
     lambda children: (st.lists(children, max_size=3)
                       | st.dictionaries(st.text(max_size=3), children, max_size=3)),
     max_leaves=8)
+BEYOND_FLOAT = st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
 
 
 def _near(tree):
@@ -239,7 +257,7 @@ def _near(tree):
     elif isinstance(tree, list):
         shaped = st.lists(_near(tree[0]), max_size=4)
     else:
-        shaped = st.just(tree) | st.integers() | st.floats()
+        shaped = st.just(tree) | st.integers() | st.floats() | BEYOND_FLOAT
     return shaped | ANY_JSON
 
 
@@ -254,6 +272,12 @@ def test_parse_config_returns_or_raises_config_error(tmp_path_factory, default_t
         return
     path.write_text(canonical_config(cfg))
     assert parse_config(str(path)) == cfg
+    # every value of a float-typed key converts to a float
+    resolved = json.loads(canonical_config(cfg))
+    for keys in _nodes(default_tree):
+        if isinstance(functools.reduce(operator.getitem, keys, default_tree), float):
+            value = functools.reduce(lambda node, key: node.get(key, {}), keys, resolved)
+            assert value == {} or math.isfinite(float(value)), keys
 
 
 def test_train_missing_config_is_usage_error(tmp_path, capsys):
@@ -496,7 +520,6 @@ METRICS_TREE = {
 }
 SEED_ROW = {"accuracy": 0.5, "deltas": {"m1_to_m2": 0.0, "m2_to_m3": 0.0, "m1_to_m3": 0.0}}
 SUMMARY_TREE = {"0": SEED_ROW, "7": SEED_ROW}
-BEYOND_FLOAT = st.integers(min_value=2 ** 1024) | st.integers(max_value=-2 ** 1024)
 
 
 def _nodes(tree, path=()):

@@ -1,13 +1,17 @@
+import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from weckd.tensor import (
     ContractError,
     NumericError,
     ShapeError,
     Tape,
+    _col2im,
+    _im2col,
     conv2d,
     dense,
     finite_diff_check,
@@ -33,9 +37,8 @@ def test_conv2d_identity_kernel():
 
 
 def test_conv2d_all_ones_sum():
-    out = conv2d(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), np.zeros(1), pad=0)
-    assert out.shape == (1, 1, 1, 1)
-    assert out[0, 0, 0, 0] == 9.0
+    out = conv2d(np.ones((1, 1, 3, 3)), np.ones((1, 1, 3, 3)), np.zeros(1), pad=1)
+    np.testing.assert_array_equal(out[0, 0], [[4.0, 6.0, 4.0], [6.0, 9.0, 6.0], [4.0, 6.0, 4.0]])
 
 
 def test_conv2d_matches_brute_force():
@@ -61,18 +64,28 @@ def test_conv2d_channel_mismatch_names_both_shapes():
 
 
 def test_conv2d_output_size_formula():
+    # same padding: the output keeps the input's size, also below the kernel's
     rng = np.random.default_rng(1)
     for _ in range(20):
-        H, W = rng.integers(3, 12, size=2)
-        k = int(rng.integers(1, 4))
-        stride = int(rng.integers(1, 3))
-        pad = int(rng.integers(0, 2))
-        if k > H + 2 * pad or k > W + 2 * pad:
-            continue
+        H, W = (int(n) for n in rng.integers(1, 12, size=2))
+        k = int(rng.choice([1, 3, 5]))
         out = conv2d(rng.normal(size=(1, 1, H, W)), rng.normal(size=(1, 1, k, k)),
-                     np.zeros(1), stride=stride, pad=pad)
-        assert out.shape[2] == (H + 2 * pad - k) // stride + 1
-        assert out.shape[3] == (W + 2 * pad - k) // stride + 1
+                     np.zeros(1), stride=1, pad=k // 2)
+        assert out.shape == (1, 1, H, W)
+
+
+@pytest.mark.parametrize("k, stride, pad", [(3, 2, 1), (3, 1, 0), (3, 1, 2), (1, 1, 1),
+                                            (2, 1, 1), (4, 1, 2)])
+def test_conv2d_rejects_unsupported_geometry(k, stride, pad):
+    x, w, b = np.ones((1, 1, 6, 6)), np.ones((1, 1, k, k)), np.zeros(1)
+    tape = Tape()
+    for call in (lambda: conv2d(x, w, b, stride=stride, pad=pad),
+                 lambda: tape.conv2d(tape.const(x), tape.param("w", w), tape.const(b),
+                                     stride=stride, pad=pad)):
+        with pytest.raises(ContractError) as exc:
+            call()
+        assert f"stride={stride}" in str(exc.value) and f"pad={pad}" in str(exc.value)
+        assert f"{k}x{k}" in str(exc.value)
 
 
 # the forward primitives the backbone's layer sequence runs at inference
@@ -242,18 +255,23 @@ def test_backbone_gradients_deterministic():
 
 # -- kernels against naive loops -----------------------------------------------
 
-def _naive_conv2d(x, w, b, stride, pad):
+# the geometries conv2d supports: odd k, stride 1, pad = k // 2
+GEOMETRIES = [(k // 2, 1) for k in (1, 3, 5)]
+# odd and even sizes, and sizes below the 5x5 kernel
+SHAPES = [(7, 5), (4, 6), (2, 3), (1, 1)]
+
+
+def _naive_conv2d(x, w, b):
     B, C, H, W = x.shape
     F, _, k, _ = w.shape
+    pad = k // 2
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    Ho, Wo = (H + 2 * pad - k) // stride + 1, (W + 2 * pad - k) // stride + 1
-    out = np.empty((B, F, Ho, Wo))
+    out = np.empty((B, F, H, W))
     for n in range(B):
         for f in range(F):
-            for i in range(Ho):
-                for j in range(Wo):
-                    patch = xp[n, :, i * stride:i * stride + k, j * stride:j * stride + k]
-                    out[n, f, i, j] = (patch * w[f]).sum() + b[f]
+            for i in range(H):
+                for j in range(W):
+                    out[n, f, i, j] = (xp[n, :, i:i + k, j:j + k] * w[f]).sum() + b[f]
     return out
 
 
@@ -266,35 +284,82 @@ def _naive_maxpool2(x):
     return out
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("pad", [0, 1])
-def test_conv2d_matches_naive_loop_odd_sizes(stride, pad):
-    rng = np.random.default_rng(stride * 10 + pad)
-    x = rng.normal(size=(2, 3, 7, 5))
-    w = rng.normal(size=(4, 3, 3, 3))
-    b = rng.normal(size=4)
-    np.testing.assert_allclose(conv2d(x, w, b, stride=stride, pad=pad),
-                               _naive_conv2d(x, w, b, stride, pad), atol=1e-12)
+def _naive_maxpool2_grad(x, g):
+    # each window's gradient goes to np.argmax of the window: the first max
+    # in row-major order; the dropped odd row and column get 0
+    B, C, H2, W2 = g.shape
+    want = np.zeros_like(x)
+    for n in range(B):
+        for c in range(C):
+            for i in range(H2):
+                for j in range(W2):
+                    win = x[n, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
+                    r, s = np.unravel_index(np.argmax(win), (2, 2))
+                    want[n, c, 2 * i + r, 2 * j + s] = g[n, c, i, j]
+    return want
 
 
-@pytest.mark.parametrize("stride", [1, 2])
-@pytest.mark.parametrize("pad", [0, 1])
-def test_taped_conv2d_gradients_match_finite_differences(stride, pad):
-    rng = np.random.default_rng(7 + stride * 10 + pad)
-    params = {"x": rng.normal(size=(2, 2, 7, 5)), "w": rng.normal(size=(3, 2, 3, 3)),
-              "b": rng.normal(size=3)}
-    weights = rng.normal(size=conv2d(params["x"], params["w"], params["b"],
-                                     stride=stride, pad=pad).shape)
+@pytest.mark.parametrize("pad, stride", GEOMETRIES)
+def test_conv2d_matches_naive_loop_odd_sizes(pad, stride):
+    rng = np.random.default_rng(pad)
+    k = 2 * pad + 1
+    for H, W in SHAPES:
+        x = rng.normal(size=(2, 3, H, W))
+        w = rng.normal(size=(4, 3, k, k))
+        b = rng.normal(size=4)
+        np.testing.assert_allclose(conv2d(x, w, b, stride=stride, pad=pad),
+                                   _naive_conv2d(x, w, b), atol=1e-12)
 
-    def fwd(p):
-        return float((conv2d(p["x"], p["w"], p["b"], stride=stride, pad=pad) * weights).sum())
 
-    def grad(p):
-        tape = Tape()
-        out = tape.conv2d(*(tape.param(k, p[k]) for k in ("x", "w", "b")), stride=stride, pad=pad)
-        return tape.backward(out, weights)
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_im2col_equals_sliding_windows_of_the_padded_input(k, dtype):
+    rng = np.random.default_rng(k)
+    p = k // 2
+    for H, W in SHAPES:
+        x = rng.normal(size=(2, 3, H, W)).astype(dtype)
+        windows = sliding_window_view(np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))), (k, k),
+                                      axis=(2, 3))  # (B, C, H, W, k, k)
+        want = windows.transpose(0, 1, 4, 5, 2, 3).reshape(2, 3 * k * k, H * W)
+        cols = _im2col(x, k)
+        assert cols.dtype == dtype and np.array_equal(cols, want)
 
-    assert finite_diff_check(fwd, grad, params, eps=1e-5) < 1e-6
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_col2im_equals_naive_scatter_add(k, dtype):
+    rng = np.random.default_rng(10 + k)
+    p = k // 2
+    for H, W in SHAPES:
+        d = rng.normal(size=(2, 3 * k * k, H * W)).astype(dtype)
+        want = np.zeros((2, 3, H + 2 * p, W + 2 * p), dtype=dtype)
+        patches = d.reshape(2, 3, k, k, H, W)
+        for i in range(k):
+            for j in range(k):
+                want[:, :, i:i + H, j:j + W] += patches[:, :, i, j]
+        dx = _col2im(d, (2, 3, H, W), k)
+        assert dx.dtype == dtype and np.array_equal(dx, want[:, :, p:p + H, p:p + W])
+
+
+@pytest.mark.parametrize("pad, stride", GEOMETRIES)
+def test_taped_conv2d_gradients_match_finite_differences(pad, stride):
+    rng = np.random.default_rng(7 + pad)
+    k = 2 * pad + 1
+    for H, W in SHAPES[:3]:
+        params = {"x": rng.normal(size=(2, 2, H, W)), "w": rng.normal(size=(3, 2, k, k)),
+                  "b": rng.normal(size=3)}
+        weights = rng.normal(size=(2, 3, H, W))
+
+        def fwd(p):
+            return float((conv2d(p["x"], p["w"], p["b"], stride=stride, pad=pad) * weights).sum())
+
+        def grad(p):
+            tape = Tape()
+            out = tape.conv2d(*(tape.param(name, p[name]) for name in ("x", "w", "b")),
+                              stride=stride, pad=pad)
+            return tape.backward(out, weights)
+
+        assert finite_diff_check(fwd, grad, params, eps=1e-5) < 1e-6
 
 
 def test_maxpool_forward_and_backward_match_naive_loop_odd_sizes():
@@ -303,17 +368,23 @@ def test_maxpool_forward_and_backward_match_naive_loop_odd_sizes():
     np.testing.assert_array_equal(maxpool2(x), _naive_maxpool2(x))
     g = rng.normal(size=(2, 3, 3, 2))
     tape = Tape()
-    xn = tape.param("x", x)
-    grads = tape.backward(tape.maxpool2(xn), g)
-    want = np.zeros_like(x)
-    for n in range(2):
-        for c in range(3):
-            for i in range(3):
-                for j in range(2):
-                    win = x[n, c, 2 * i:2 * i + 2, 2 * j:2 * j + 2]
-                    r, s = np.unravel_index(np.argmax(win), (2, 2))
-                    want[n, c, 2 * i + r, 2 * j + s] = g[n, c, i, j]
-    np.testing.assert_array_equal(grads["x"], want)  # dropped odd row/column get 0
+    grads = tape.backward(tape.maxpool2(tape.param("x", x)), g)
+    np.testing.assert_array_equal(grads["x"], _naive_maxpool2_grad(x, g))
+
+
+def test_maxpool_first_max_wins_on_every_tie_pattern():
+    # one row of 2x2 windows holding all 16 {0, 1} patterns; a (0,1)/(1,0) tie
+    # tells columns-first pairing from rows-first
+    windows = np.array(list(itertools.product([0.0, 1.0], repeat=4))).reshape(16, 2, 2)
+    x = windows.transpose(1, 0, 2).reshape(1, 1, 2, 32)
+    # the same windows with an odd trailing row and column that beat every window
+    odd = np.pad(x, ((0, 0), (0, 0), (0, 1), (0, 1)), constant_values=2.0)
+    g = np.arange(1.0, 17.0).reshape(1, 1, 1, 16)
+    for inp in (x, odd):
+        np.testing.assert_array_equal(maxpool2(inp), _naive_maxpool2(inp))
+        tape = Tape()
+        grads = tape.backward(tape.maxpool2(tape.param("x", inp)), g)
+        np.testing.assert_array_equal(grads["x"], _naive_maxpool2_grad(inp, g))
 
 
 def test_backward_never_calls_a_constant_leafs_vjp(monkeypatch):
