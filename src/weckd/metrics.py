@@ -106,6 +106,7 @@ def theory_report(progression, test_logits) -> TheoryReport:
 
     beta_hat is the ratio of consecutive mean |logit difference| L1 norms over
     the test set: a diagnostic for whether inherited perturbations shrink.
+    Every term runs in float64 whatever the logits' dtype.
     """
     if len(progression) != 3 or len(test_logits) != 3:
         raise ContractError(
@@ -114,7 +115,7 @@ def theory_report(progression, test_logits) -> TheoryReport:
         )
     risks = [1.0 - row["test_acc"] for row in progression]
     gaps = [(1.0 - row["test_acc"]) - (1.0 - row["train_acc"]) for row in progression]
-    z = test_logits
+    z = [np.asarray(logits, dtype=np.float64) for logits in test_logits]
     # kd_loss(student, teacher, T) is KL(teacher || student)
     kl_m2_m1 = kd_loss(z[0], z[1], 1.0)
     kl_m3_m2 = kd_loss(z[1], z[2], 1.0)

@@ -18,6 +18,7 @@ from .losses import softmax_temperature
 from .tpe import SearchSpace, run_study
 from .training import (
     ChainResult,
+    at_checkpoint_precision,
     evaluate,
     logits_of,
     loss_accuracy,
@@ -45,8 +46,13 @@ def backbone_for(cfg: ExperimentConfig, dataset: LabeledDataset) -> BackboneConf
 
 
 def score_chain(models, dataset, split):
-    """Score the three chain models: one pass per model over its own training
-    subset and one over d_test.
+    """Score the three chain models as their checkpoints store them.
+
+    Each model's parameters are rounded by `at_checkpoint_precision`, exactly
+    as `save_checkpoint` rounds them, so every pass runs at that precision and
+    the scores are those of m1-m3.wckd: `load_checkpoint` of each file, scored
+    over the same images, gives them bit for bit. One pass per model over its
+    own training subset and one over d_test.
 
     Returns (progression rows, [test-set logits of M1, M2, M3]); the
     metrics payload, the theory report and the CSV all derive from these.
@@ -54,6 +60,7 @@ def score_chain(models, dataset, split):
     truths = dataset.labels[split.d_test]
     progression, test_logits = [], []
     for i, (model, subset) in enumerate(zip(models, (split.d1, split.d2, split.d3))):
+        model = at_checkpoint_precision(model)
         train_loss, train_acc = evaluate(model, dataset, subset)
         z = logits_of(model, dataset, split.d_test)
         test_loss, test_acc = loss_accuracy(z, truths)

@@ -38,6 +38,8 @@ __all__ = [
     "evaluate",
     "logits_of",
     "loss_accuracy",
+    "CHECKPOINT_DTYPE",
+    "at_checkpoint_precision",
     "save_checkpoint",
     "load_checkpoint",
 ]
@@ -343,32 +345,44 @@ def run_chain(dataset: LabeledDataset, split: DatasetSplit, cfg: TrainConfig,
 
 MAGIC = b"WCKD"
 VERSION = 1
+# the precision a checkpoint stores, loads and is scored at; little-endian on disk
+CHECKPOINT_DTYPE = np.dtype(np.float32)
+_FILE_DTYPE = CHECKPOINT_DTYPE.newbyteorder("<")
 
 
 def _config_json(config: BackboneConfig) -> str:
     return json.dumps(asdict(config), sort_keys=True, separators=(",", ":"))
 
 
+def at_checkpoint_precision(model: Model) -> Model:
+    """`model` with every parameter rounded to CHECKPOINT_DTYPE: the model that
+    `save_checkpoint` writes and `load_checkpoint` returns, bit for bit."""
+    # note: ascontiguousarray would promote 0-d scalars to rank 1
+    return Model(model.config, {name: np.array(value, dtype=CHECKPOINT_DTYPE, order="C")
+                                for name, value in model.params.items()})
+
+
 def save_checkpoint(model: Model, path):
-    """Little-endian binary checkpoint; parameters stored as f32 in name order."""
+    """Little-endian binary checkpoint of `at_checkpoint_precision(model)`,
+    parameters in name order."""
+    stored = at_checkpoint_precision(model).params
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
         blob = _config_json(model.config).encode()
         f.write(struct.pack("<I", len(blob)))
         f.write(blob)
-        names = sorted(model.params)
+        names = sorted(stored)
         f.write(struct.pack("<I", len(names)))
         for name in names:
-            # note: ascontiguousarray would promote 0-d scalars to rank 1
-            arr = np.array(model.params[name], dtype=np.float32, order="C")
+            arr = stored[name]
             nb = name.encode()
             f.write(struct.pack("<H", len(nb)))
             f.write(nb)
             f.write(struct.pack("<B", arr.ndim))
             for d in arr.shape:
                 f.write(struct.pack("<I", d))
-            f.write(arr.tobytes())
+            f.write(arr.astype(_FILE_DTYPE, copy=False).tobytes())
 
 
 def _config_from_blob(blob, offset):
@@ -429,13 +443,13 @@ def load_checkpoint(path) -> Model:
             raise CheckpointError(
                 f"shape mismatch for {name}: file has {dims}, config implies {shapes[name]}"
             )
-        size = math.prod(dims)  # a Python int: cannot overflow
-        arr = np.frombuffer(take(size * 4, f"data of {name}"), dtype="<f4").reshape(dims)
+        nbytes = math.prod(dims) * _FILE_DTYPE.itemsize  # a Python int: cannot overflow
+        arr = np.frombuffer(take(nbytes, f"data of {name}"), dtype=_FILE_DTYPE).reshape(dims)
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(
-                f"non-finite values in tensor {name} (data at offset {off - size * 4})"
+                f"non-finite values in tensor {name} (data at offset {off - nbytes})"
             )
-        params[name] = arr.astype(np.float32)  # a native-order copy of the file's f32
+        params[name] = arr.astype(CHECKPOINT_DTYPE)  # a native-order copy of the file's data
     if off != len(data):
         raise CheckpointError(f"{len(data) - off} trailing bytes after the last tensor at offset {off}")
     if set(params) != set(shapes):

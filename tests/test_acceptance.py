@@ -36,6 +36,8 @@ from weckd.tensor import finite_diff_check
 from weckd.tpe import SearchSpace, run_study
 from weckd.training import (
     TrainConfig,
+    at_checkpoint_precision,
+    evaluate,
     load_checkpoint,
     run_chain,
     save_checkpoint,
@@ -68,8 +70,8 @@ def protocol():
     single_seconds = time.perf_counter() - t0
 
     def test_acc(model):
-        from weckd.training import evaluate
-        return float(evaluate(model, dataset, split.d_test)[1])
+        # at the precision score_chain scores the chain's models at
+        return float(evaluate(at_checkpoint_precision(model), dataset, split.d_test)[1])
 
     return {
         "dataset": dataset,

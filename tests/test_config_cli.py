@@ -17,7 +17,7 @@ import weckd.runner
 from weckd.backbone import BackboneConfig, build_model
 from weckd.cli import main
 from weckd.config import ConfigError, canonical_config, parse_config
-from weckd.data import LabeledDataset, generate_synthetic, write_idx
+from weckd.data import LabeledDataset, generate_synthetic, load_idx, partition, write_idx
 from weckd.training import save_checkpoint
 
 
@@ -280,6 +280,51 @@ def test_parse_config_returns_or_raises_config_error(tmp_path_factory, default_t
             assert value == {} or math.isfinite(float(value)), keys
 
 
+SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | BEYOND_FLOAT
+           | st.text(max_size=4))
+
+
+@st.composite
+def _one_leaf_off(draw, tree):
+    """`tree` with one dataset source kept and one leaf replaced by any JSON
+    scalar: a config that parses unless that one value is out of range."""
+    tree = copy.deepcopy(tree)
+    del tree["dataset"][draw(st.sampled_from(sorted(tree["dataset"])))]
+    leaves = [keys for keys in _nodes(tree)
+              if not isinstance(functools.reduce(operator.getitem, keys, tree), (dict, list))]
+    keys = draw(st.sampled_from(leaves))
+    functools.reduce(operator.getitem, keys[:-1], tree)[keys[-1]] = draw(SCALARS)
+    return tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_config_with_one_bad_leaf_is_refused_or_holds_only_valid_values(
+        tmp_path_factory, default_tree, data):
+    path = tmp_path_factory.getbasetemp() / "one_leaf.json"
+    path.write_text(json.dumps(data.draw(_one_leaf_off(default_tree))))
+    try:
+        cfg = parse_config(str(path))
+    except ConfigError:
+        return
+    resolved = json.loads(canonical_config(cfg))
+    for keys in _nodes(resolved):
+        value = functools.reduce(operator.getitem, keys, resolved)
+        if isinstance(value, (dict, list)):
+            continue
+        # the default's leaf at the same place; a list's items share its first item's type
+        default = functools.reduce(
+            lambda node, key: node[0] if isinstance(key, int) else node[key], keys, default_tree)
+        if isinstance(default, bool):
+            assert isinstance(value, bool), keys
+        elif isinstance(default, int):
+            assert isinstance(value, int) and not isinstance(value, bool) and value >= 0, keys
+        elif isinstance(default, float):
+            assert not isinstance(value, bool) and math.isfinite(float(value)), keys
+        else:
+            assert isinstance(value, type(default)), keys
+
+
 def test_train_missing_config_is_usage_error(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "none.json")]) in (1, 2)
 
@@ -298,6 +343,29 @@ def test_eval_round_trip(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert 0.0 <= payload["accuracy"] <= 1.0
     assert len(payload["confusion_matrix"]) == 3
+
+
+def test_eval_on_the_test_split_reproduces_metrics_json(tmp_path, capsys):
+    data = str(tmp_path / "shapes")
+    assert main(["gen-data", "--out", data, "--n", "60", "--classes", "3", "--size", "12"]) == 0
+    images, labels = data + "-images.idx", data + "-labels.idx"
+    doc = dict(TINY_EXPERIMENT, dataset={"idx": {"images": images, "labels": labels}})
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 0
+    ds = load_idx(images, labels)
+    test = partition(ds, 0, stratified=True).d_test
+    test_images, test_labels = str(tmp_path / "test-images.idx"), str(tmp_path / "test-labels.idx")
+    write_idx(LabeledDataset(ds.images[test], ds.labels[test], ds.class_names, ds.num_classes),
+              test_images, test_labels)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(out_dir / "m3.wckd"),
+                 "--data", test_images, test_labels]) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((out_dir / "metrics.json").read_text())
+    assert got["loss"] == want["progression"][2]["test_loss"]
+    assert got["accuracy"] == want["accuracy"]
+    assert got["confusion_matrix"] == want["confusion_matrix"]
+    assert got["auc"]["macro"] == want["macro_auc"]
 
 
 def test_eval_class_count_mismatch(tmp_path, capsys):

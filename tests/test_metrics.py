@@ -144,6 +144,14 @@ def test_theory_report_kl_terms_put_the_later_model_first():
         assert kl == pytest.approx((p[a] * np.log(p[a] / p[b])).sum(axis=1).mean(), rel=1e-12)
 
 
+def test_theory_report_is_the_same_for_float32_logits_and_their_float64_upcast():
+    z = [np.random.default_rng(seed).normal(0, 3, size=(200, 4)).astype(np.float32)
+         for seed in range(3)]
+    progression = [{"train_acc": 1.0, "test_acc": 1.0}] * 3
+    wide = [zi.astype(np.float64) for zi in z]
+    assert theory_report(progression, z) == theory_report(progression, wide)
+
+
 def test_theory_report_deterministic():
     models = _tiny_chain_models()
     a = theory_report(*_tiny_chain_scores(models))

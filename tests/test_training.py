@@ -12,11 +12,20 @@ from weckd.backbone import BackboneConfig, build_model, param_digest
 from weckd.config import parse_config
 from weckd.data import DatasetSplit, generate_synthetic, partition
 from weckd.losses import DistillParams
-from weckd.runner import deltas, evaluate_model, run_experiment, score_chain
+from weckd.runner import (
+    backbone_for,
+    deltas,
+    evaluate_model,
+    load_dataset,
+    run_experiment,
+    score_chain,
+)
 from weckd.tensor import ContractError
 from weckd.training import (
+    CHECKPOINT_DTYPE,
     CheckpointError,
     TrainConfig,
+    at_checkpoint_precision,
     evaluate,
     load_checkpoint,
     logits_of,
@@ -424,6 +433,26 @@ def test_training_stays_float64():
     chain = run_chain(ds, split, fast_cfg(max_epochs=1), TINY_BB)
     for result in chain.stage_results:
         assert {v.dtype for v in result.model.params.values()} == {np.dtype(np.float64)}
+
+
+def test_metrics_json_is_the_score_of_the_saved_checkpoints(tmp_path):
+    cfg = _tiny_experiment(tmp_path, [0])
+    out = tmp_path / "run"
+    run_experiment(cfg, out_dir=str(out))
+    progression = json.loads((out / "metrics.json").read_text())["progression"]
+    ds = load_dataset(cfg)
+    split = partition(ds, cfg.partition_seed, stratified=True)
+    truths = ds.labels[split.d_test]
+    chain = run_chain(ds, split, replace(cfg.train, seed=0), backbone_for(cfg, ds))
+    for i, (row, result) in enumerate(zip(progression, chain.stage_results)):
+        back = load_checkpoint(str(out / f"m{i + 1}.wckd"))
+        loss, acc = loss_accuracy(logits_of(back, ds, split.d_test), truths)
+        assert (row["test_loss"], row["test_acc"]) == (loss, acc)
+        rounded = at_checkpoint_precision(result.model).params
+        assert rounded.keys() == back.params.keys()
+        for name, value in back.params.items():
+            assert value.dtype == rounded[name].dtype == CHECKPOINT_DTYPE
+            assert value.tobytes() == rounded[name].tobytes(), name
 
 
 def test_checkpoint_reserialization_byte_identical(tmp_path):
