@@ -50,6 +50,8 @@ def _cmd_tune(args):
 def _cmd_eval(args):
     model = load_checkpoint(args.checkpoint)
     dataset = load_idx(args.data[0], args.data[1])
+    if not len(dataset):
+        raise ContractError(f"{args.data[0]} holds no images")
     if dataset.num_classes > model.num_classes:
         raise ContractError(
             f"class-count mismatch: checkpoint has {model.num_classes} classes, "

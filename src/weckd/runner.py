@@ -15,6 +15,7 @@ from .config import ExperimentConfig, _build, canonical_config
 from .data import LabeledDataset, generate_synthetic, load_idx, partition
 from .metrics import confusion_matrix, prf1, roc_auc_ovr, theory_report
 from .losses import softmax_temperature
+from .tensor import ContractError
 from .tpe import SearchSpace, run_study
 from .training import (
     ChainResult,
@@ -35,7 +36,10 @@ def load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
         s = cfg.dataset["synthetic"]
         return generate_synthetic(s["n"], s["classes"], (s["height"], s["width"]),
                                   s["noise_std"], s["seed"])
-    return load_idx(cfg.dataset["idx"]["images"], cfg.dataset["idx"]["labels"])
+    dataset = load_idx(cfg.dataset["idx"]["images"], cfg.dataset["idx"]["labels"])
+    if dataset.num_classes < 2:  # load_idx takes K from the largest label
+        raise ContractError(f"{cfg.dataset['idx']['labels']}: every label is 0; training needs 2 classes")
+    return dataset
 
 
 def backbone_for(cfg: ExperimentConfig, dataset: LabeledDataset) -> BackboneConfig:
@@ -85,13 +89,16 @@ def deltas(progression):
     }
 
 
+def _classify(logits, labels, k):
+    """(K x K confusion matrix, `prf1` scores, `roc_auc_ovr` AUCs) of `logits`."""
+    probs = softmax_temperature(logits, 1.0)
+    cm = confusion_matrix(probs.argmax(axis=1), labels, k)
+    return cm, prf1(cm), roc_auc_ovr(probs, labels)
+
+
 def _metrics_payload(progression, test_logits, dataset, split):
     k = dataset.num_classes
-    truths = dataset.labels[split.d_test]
-    probs = softmax_temperature(test_logits[-1], 1.0)
-    cm = confusion_matrix(probs.argmax(axis=1), truths, k)
-    scores = prf1(cm)
-    auc = roc_auc_ovr(probs, truths)
+    cm, scores, auc = _classify(test_logits[-1], dataset.labels[split.d_test], k)
     theory = theory_report(progression, test_logits)
     return {
         "accuracy": scores["accuracy"],
@@ -153,7 +160,7 @@ def _write_timing_csv(path, chain: ChainResult):
         writer.writerow(["stage", "steps_per_epoch", "ms_per_step", "epochs_run"])
         for i, r in enumerate(chain.stage_results):
             writer.writerow([f"M{i + 1}", r.steps_per_epoch,
-                             f"{r.ms_per_step:.3f}", r.stopped_epoch])
+                             f"{r.ms_per_step:.3f}", len(r.epoch_curves)])
 
 
 def _dataset_name(cfg: ExperimentConfig):
@@ -220,11 +227,9 @@ def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
             learning_rate=eta,
             distill=replace(base_train.distill, alpha=alpha, t_max=temp),
         )
-        chain = run_chain(dataset, split, train_cfg, backbone)
-        # M3's own validation curve at its best epoch
-        curves = chain.stage_results[2].epoch_curves
-        best = min(curves, key=lambda c: c["val_loss"])
-        return best["val_acc"]
+        m3 = run_chain(dataset, split, train_cfg, backbone).stage_results[2]
+        # M3's validation accuracy at the epoch whose parameters it kept
+        return m3.epoch_curves[m3.best_epoch]["val_acc"]
 
     best, trials = run_study(objective, SearchSpace(), n_trials, cfg.hyperopt["seed"])
     with _replacing(os.path.join(out_dir, "trials.csv")) as tmp, open(tmp, "w", newline="") as f:
@@ -253,10 +258,7 @@ def evaluate_model(model, dataset):
     that lacks the top classes still gets a K x K confusion matrix.
     """
     logits = logits_of(model, dataset, np.arange(len(dataset)))
-    probs = softmax_temperature(logits, 1.0)
-    cm = confusion_matrix(probs.argmax(axis=1), dataset.labels, model.num_classes)
-    scores = prf1(cm)
-    auc = roc_auc_ovr(probs, dataset.labels)
+    cm, scores, auc = _classify(logits, dataset.labels, model.num_classes)
     loss, _ = loss_accuracy(logits, dataset.labels)
     return {
         "accuracy": scores["accuracy"],

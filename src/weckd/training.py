@@ -84,7 +84,7 @@ class TrainConfig:
 class StageResult:
     model: Model
     epoch_curves: list            # per epoch: dict(train_loss, train_acc, val_loss, val_acc)
-    stopped_epoch: int
+    best_epoch: int               # the epoch whose parameters `model` holds
     steps_per_epoch: int
     ms_per_step: float
 
@@ -139,10 +139,10 @@ def loss_accuracy(logits, labels, batch_size=256):
 
 
 def scheduler_step(val_losses, lr, cfg: TrainConfig, decays_done=0):
-    """LR-plateau decay and early stopping from the validation-loss history.
+    """LR-plateau decay, early stopping and the kept epoch from the validation-loss history.
 
-    Returns (new_lr, stop, decays_done). "Improvement" means strictly below
-    the best seen by at least 1e-6.
+    Returns (new_lr, stop, decays_done, best_epoch). "Improvement" means strictly
+    below the best seen by at least 1e-6; `best_epoch` is the last that improved.
     """
     if not val_losses:
         raise ContractError("scheduler needs a non-empty loss history")
@@ -158,7 +158,7 @@ def scheduler_step(val_losses, lr, cfg: TrainConfig, decays_done=0):
     if stagnant > 0 and stagnant % cfg.lr_patience == 0 and decays_done < MAX_LR_DECAYS:
         new_lr = lr * cfg.lr_decay_factor
         decays_done += 1
-    return new_lr, stop, decays_done
+    return new_lr, stop, decays_done, best_epoch
 
 
 def _carve_validation(indices):
@@ -174,22 +174,25 @@ def _epoch_order(cfg, stage_index, epoch, n):
     return np.random.default_rng(seed).permutation(n)
 
 
-def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=None):
-    k = model.num_classes
-    params = {name: v.copy() for name, v in model.params.items()}
+def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
+    """The one stage trainer: `model` learns from `subset` less its validation carve
+    and keeps the parameters of the epoch `scheduler_step` names. Without a teacher
+    it runs the hybrid objective at alpha = 1 against its own logits: KL = 0, plain CE.
+    """
+    train_idx, val_idx = _carve_validation(subset)
+    params = model.params  # sgd_step returns new arrays and never writes its inputs
     velocity = None
     lr = cfg.learning_rate
     decays = 0
     dp = cfg.distill
+    tsc = dp.t_squared_compensation
     curves = []
-    best_val = np.inf
-    best_params = {name: v.copy() for name, v in params.items()}
     step_times = []
     steps_per_epoch = int(np.ceil(train_idx.size / cfg.batch_size))
 
-    teacher_digest = param_digest(teacher) if teacher is not None else None
-    teacher_z = None
+    alpha, teacher_z = 1.0, None
     if teacher is not None:
+        alpha, teacher_digest = dp.alpha, param_digest(teacher)
         # the teacher is frozen and training has no augmentation, so every
         # epoch would see these logits; chunks of 256 bound the memory
         teacher_z = _logits(teacher, dataset, train_idx, 256)
@@ -204,19 +207,13 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
             idx = train_idx[rows]
             x, y = dataset.images[idx], dataset.labels[idx]
             t0 = time.perf_counter()
-            y1 = _one_hot(y, k)
-            work = Model(model.config, params)
+            y1 = _one_hot(y, model.num_classes)
             tape = T.Tape()
-            logits_node = forward_on_tape(work, tape, x)
+            logits_node = forward_on_tape(Model(model.config, params), tape, x)
             z = logits_node.value
-            if teacher is None:
-                loss, _, _ = hybrid_loss(z, z, y1, 1.0, 1.0)
-                dz = hybrid_loss_grad(z, z, y1, 1.0, 1.0)
-            else:
-                zt = teacher_z[rows]
-                tsc = dp.t_squared_compensation
-                loss, _, _ = hybrid_loss(z, zt, y1, dp.alpha, temp, t_squared_compensation=tsc)
-                dz = hybrid_loss_grad(z, zt, y1, dp.alpha, temp, t_squared_compensation=tsc)
+            zt = z if teacher_z is None else teacher_z[rows]
+            loss, _, _ = hybrid_loss(z, zt, y1, alpha, temp, t_squared_compensation=tsc)
+            dz = hybrid_loss_grad(z, zt, y1, alpha, temp, t_squared_compensation=tsc)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at stage {stage_index}, epoch {epoch}, batch {bi}"
@@ -234,21 +231,19 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
             "val_loss": float(val_loss),
             "val_acc": float(val_acc),
         })
-        if val_loss < best_val - MIN_IMPROVEMENT:
-            best_val = val_loss
-            best_params = {name: v.copy() for name, v in params.items()}
-        lr, stop, decays = scheduler_step([c["val_loss"] for c in curves], lr, cfg, decays)
+        lr, stop, decays, best_epoch = scheduler_step([c["val_loss"] for c in curves], lr, cfg, decays)
+        if best_epoch == epoch:
+            best_params = params
         if stop:
             break
 
     if teacher is not None and param_digest(teacher) != teacher_digest:
         raise RuntimeError("teacher parameters changed during distillation (freeze violated)")
 
-    result_model = Model(model.config, best_params)
     return StageResult(
-        model=result_model,
+        model=Model(model.config, best_params),
         epoch_curves=curves,
-        stopped_epoch=len(curves),
+        best_epoch=best_epoch,
         steps_per_epoch=steps_per_epoch,
         ms_per_step=float(np.mean(step_times) * 1000.0),
     )
@@ -256,8 +251,7 @@ def _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index, teacher=No
 
 def train_stage1(model, d1_indices, dataset, cfg: TrainConfig) -> StageResult:
     """Supervised CE training of the chain's first model on its subset."""
-    train_idx, val_idx = _carve_validation(d1_indices)
-    return _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index=0)
+    return _train_loop(model, d1_indices, dataset, cfg, stage_index=0)
 
 
 def train_distill_stage(student, teacher, d_indices, dataset, cfg: TrainConfig,
@@ -268,9 +262,8 @@ def train_distill_stage(student, teacher, d_indices, dataset, cfg: TrainConfig,
             f"chain composition error: teacher has {teacher.num_classes} classes, "
             f"student has {student.num_classes}"
         )
-    train_idx, val_idx = _carve_validation(d_indices)
-    return _train_loop(student, train_idx, val_idx, dataset, cfg,
-                       stage_index=stage_index, teacher=teacher)
+    return _train_loop(student, d_indices, dataset, cfg, stage_index=stage_index,
+                       teacher=teacher)
 
 
 def train_single_baseline(dataset, split, cfg: TrainConfig,
@@ -279,9 +272,7 @@ def train_single_baseline(dataset, split, cfg: TrainConfig,
     backbone = backbone or _default_backbone(dataset)
     model = build_model(replace(backbone, attention_enabled=False,
                                 init_seed=_f_base_seed(cfg.seed)))
-    indices = split.training_indices()
-    train_idx, val_idx = _carve_validation(indices)
-    return _train_loop(model, train_idx, val_idx, dataset, cfg, stage_index=9)
+    return _train_loop(model, split.training_indices(), dataset, cfg, stage_index=9)
 
 
 def _f_base_seed(seed):
@@ -313,21 +304,22 @@ def run_chain(dataset: LabeledDataset, split: DatasetSplit, cfg: TrainConfig,
     _assert_no_leakage(split)
     backbone = backbone or _default_backbone(dataset)
     seed = _f_base_seed(cfg.seed)
+    # one shared init: every model has the gate's parameters, used or not
+    init = build_model(replace(backbone, init_seed=seed)).params
     subsets = [split.d1, split.d2, split.d3]
     stage_results = []
     teacher_digests = []
     teacher = None
     for i in range(3):
-        model = build_model(replace(backbone,
-                                    attention_enabled=cfg.stage_attention[i],
-                                    init_seed=seed))
+        model = Model(replace(backbone, attention_enabled=cfg.stage_attention[i],
+                              init_seed=seed), init)
         if teacher is not None:
             # each student inherits its predecessor's trained extractor and
             # head instead of relearning them from its own 10% slice; the
             # attention gate only when both use one (else it keeps its init)
             gate = teacher.attention_enabled and model.attention_enabled
-            model.params.update({name: value.copy() for name, value in teacher.params.items()
-                                 if gate or name not in ("w_att", "b_att")})
+            model.params = {name: init[name] if name in ("w_att", "b_att") and not gate
+                            else value for name, value in teacher.params.items()}
         if i == 0:
             result = train_stage1(model, subsets[i], dataset, cfg)
         else:

@@ -127,6 +127,19 @@ def test_train_on_idx_data_with_an_empty_class(tmp_path, capsys):
     assert (out_dir / "metrics.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "tune"])
+def test_one_class_idx_labels_are_usage_error_naming_the_labels_file(tmp_path, capsys, command):
+    ds = generate_synthetic(60, 2, (12, 12), 0.1, seed=0)
+    images, labels = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx(LabeledDataset(ds.images, ds.labels * 0, ["a"], 1), images, labels)
+    doc = dict(TINY_EXPERIMENT, dataset={"idx": {"images": images, "labels": labels}})
+    out_dir = tmp_path / "run"
+    assert main([command, "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert labels in err and "$.backbone" not in err
+    assert not out_dir.exists()
+
+
 def test_config_resolved_lists_the_resolved_backbone(tmp_path, capsys):
     doc = dict(TINY_EXPERIMENT, backbone={"fc_width": 8})
     out_dir = tmp_path / "run"
@@ -410,6 +423,16 @@ def test_eval_takes_class_count_from_checkpoint(tmp_path, capsys):
     payload = json.loads(out.out)
     assert np.array(payload["confusion_matrix"]).shape == (4, 4)
     assert len(payload["per_class"]) == 4
+
+
+def test_eval_on_zero_images_is_usage_error_naming_the_images_file(tmp_path, capsys):
+    ckpt, _ = _eval_inputs(tmp_path, capsys)
+    images, labels = str(tmp_path / "empty-i.idx"), str(tmp_path / "empty-l.idx")
+    write_idx(LabeledDataset(np.zeros((0, 1, 12, 12)), np.zeros(0, dtype=np.int64), ["a", "b"], 2),
+              images, labels)
+    code, out = _run_eval(ckpt, [images, labels], capsys)
+    assert code == 2
+    assert images in out.err and "empty index set" not in out.err
 
 
 def _rewrite_config_blob(path, edit):

@@ -19,6 +19,7 @@ from weckd.runner import (
     load_dataset,
     run_experiment,
     score_chain,
+    tune_experiment,
 )
 from weckd.tensor import ContractError
 from weckd.training import (
@@ -58,21 +59,21 @@ def fast_cfg(**kw):
 
 def test_scheduler_improving_history_keeps_going():
     cfg = TrainConfig(patience=10, lr_patience=5)
-    lr, stop, decays = scheduler_step([1.0, 0.9, 0.8], 1e-3, cfg)
-    assert lr == 1e-3 and not stop and decays == 0
+    lr, stop, decays, best_epoch = scheduler_step([1.0, 0.9, 0.8], 1e-3, cfg)
+    assert lr == 1e-3 and not stop and decays == 0 and best_epoch == 2
 
 
 def test_scheduler_stops_after_patience_stagnant_epochs():
     cfg = TrainConfig(patience=10, lr_patience=5)
     history = [1.0] + [1.0] * 10
-    _, stop, _ = scheduler_step(history, 1e-3, cfg)
+    _, stop, _, _ = scheduler_step(history, 1e-3, cfg)
     assert stop
 
 
 def test_scheduler_decays_at_lr_patience():
     cfg = TrainConfig(patience=10, lr_patience=5)
     history = [1.0] + [1.0] * 5
-    lr, stop, decays = scheduler_step(history, 1e-3, cfg)
+    lr, stop, decays, _ = scheduler_step(history, 1e-3, cfg)
     assert lr == pytest.approx(1e-4) and not stop and decays == 1
 
 
@@ -81,7 +82,7 @@ def test_scheduler_caps_total_decays():
     lr = 1e-3
     decays = 0
     for stagnant in range(1, 40):
-        lr, _, decays = scheduler_step([1.0] + [1.0] * stagnant, lr, cfg, decays)
+        lr, _, decays, _ = scheduler_step([1.0] + [1.0] * stagnant, lr, cfg, decays)
     assert decays == 3
     assert lr == pytest.approx(1e-6)
 
@@ -89,8 +90,15 @@ def test_scheduler_caps_total_decays():
 def test_scheduler_improvement_threshold_is_strict():
     cfg = TrainConfig(patience=2, lr_patience=5)
     # a drop below 1e-6 does not count as improvement
-    _, stop, _ = scheduler_step([1.0, 1.0 - 1e-9, 1.0 - 2e-9], 1e-3, cfg)
+    _, stop, _, _ = scheduler_step([1.0, 1.0 - 1e-9, 1.0 - 2e-9], 1e-3, cfg)
     assert stop
+
+
+def test_scheduler_keeps_the_last_epoch_that_improved_by_the_threshold():
+    cfg = TrainConfig()
+    assert scheduler_step([1.0, 1.0 - 1e-9], 1e-3, cfg)[3] == 0
+    assert scheduler_step([1.0, 0.5, 0.5 - 5e-7, 0.4], 1e-3, cfg)[3] == 3
+    assert scheduler_step([1.0, 0.5, 0.5 - 5e-7], 1e-3, cfg)[3] == 1
 
 
 def test_scheduler_rejects_empty_history():
@@ -105,7 +113,7 @@ def test_steps_per_epoch_ceiling():
     model = build_model(TINY_BB)
     res = train_stage1(model, split.d1[:6], ds, fast_cfg(batch_size=32, max_epochs=1))
     assert res.steps_per_epoch == 1
-    assert res.stopped_epoch == 1
+    assert res.best_epoch == 0
     assert len(res.epoch_curves) == 1
 
 
@@ -151,11 +159,52 @@ def test_best_validation_epoch_parameters_returned():
     ds, split = tiny_setup()
     model = build_model(TINY_BB)
     res = train_stage1(model, split.d1, ds, fast_cfg(max_epochs=5))
-    best_epoch = int(np.argmin([c["val_loss"] for c in res.epoch_curves]))
-    # re-run and capture the parameters at that epoch by truncating the budget
+    # re-run and capture the parameters at the kept epoch by truncating the budget
     res2 = train_stage1(build_model(TINY_BB), split.d1, ds,
-                        fast_cfg(max_epochs=best_epoch + 1))
+                        fast_cfg(max_epochs=res.best_epoch + 1))
     assert param_digest(res.model) == param_digest(res2.model)
+
+
+def _snapshot(model):
+    return {name: value.copy() for name, value in model.params.items()}
+
+
+def _assert_unchanged(model, snapshot):
+    assert model.params.keys() == snapshot.keys()
+    for name, value in snapshot.items():
+        np.testing.assert_array_equal(model.params[name], value, err_msg=name)
+
+
+def test_stage_training_leaves_the_given_model_unchanged():
+    ds, split = tiny_setup()
+    model = build_model(TINY_BB)
+    before = _snapshot(model)
+    res = train_stage1(model, split.d1, ds, fast_cfg())
+    _assert_unchanged(model, before)
+    assert param_digest(res.model) != param_digest(model)
+
+
+def test_chain_leaves_every_stage_start_and_teacher_unchanged(monkeypatch):
+    # each stage starts from arrays it shares with the init or its teacher,
+    # uncopied, so no stage may write into the arrays it was given
+    ds, split = tiny_setup(n=90)
+    given = []
+    real_stage1, real_distill = weckd.training.train_stage1, weckd.training.train_distill_stage
+
+    def stage1(model, *args, **kwargs):
+        given.append((model, _snapshot(model)))
+        return real_stage1(model, *args, **kwargs)
+
+    def distill(student, teacher, *args, **kwargs):
+        given.extend([(student, _snapshot(student)), (teacher, _snapshot(teacher))])
+        return real_distill(student, teacher, *args, **kwargs)
+
+    monkeypatch.setattr(weckd.training, "train_stage1", stage1)
+    monkeypatch.setattr(weckd.training, "train_distill_stage", distill)
+    run_chain(ds, split, fast_cfg(max_epochs=2, stage_attention=(True, True, True)), TINY_BB)
+    assert len(given) == 5
+    for model, snapshot in given:
+        _assert_unchanged(model, snapshot)
 
 
 def test_step_time_recorded():
@@ -338,6 +387,29 @@ def test_evaluate_model_scores_each_image_once(monkeypatch):
     seen = _count_forward_images(monkeypatch)
     evaluate_model(build_model(TINY_BB), ds)
     assert sorted(seen.values()) == [1] * 300
+
+
+def test_tune_objective_reports_the_kept_epoch(tmp_path, monkeypatch):
+    # epoch 1's validation loss is below epoch 0's by less than the 1e-6
+    # threshold, so each stage keeps epoch 0 and the objective is its accuracy
+    calls = []
+
+    def scripted(model, dataset, indices):
+        calls.append(indices)
+        return [(0.5, 0.8), (0.5 - 5e-7, 0.6)][(len(calls) - 1) % 2]
+
+    monkeypatch.setattr(weckd.training, "evaluate", scripted)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "dataset": {"synthetic": {"n": 90, "classes": 3, "height": 12, "width": 12,
+                                  "noise_std": 0.1, "seed": 0}},
+        "backbone": {"conv_blocks": [4, 6], "fc_width": 8},
+        "train": {"max_epochs": 2, "batch_size": 8},
+    }))
+    tune_experiment(parse_config(str(path)), 1, out_dir=str(tmp_path / "study"))
+    assert len(calls) == 6
+    rows = (tmp_path / "study" / "trials.csv").read_text().splitlines()
+    assert rows[1].split(",")[4:] == ["0.800000", "complete"]
 
 
 # -- run artifacts -------------------------------------------------------------
