@@ -124,8 +124,9 @@ def write_idx(dataset: LabeledDataset, images_path, labels_path):
 SHAPE_NAMES = ["circle", "square", "triangle", "cross", "ring", "bars", "diagonal", "checker"]
 
 
-def _render_shape(cls, h, w, rng):
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+def _render_shape(cls, yy, xx, rng):
+    """One glyph of class `cls` as an (H, W) 0/1 mask over the pixel grid `yy`, `xx`."""
+    h, w = yy.shape
     cy = h / 2 + rng.uniform(-h / 5, h / 5)
     cx = w / 2 + rng.uniform(-w / 5, w / 5)
     s = min(h, w) * rng.uniform(0.16, 0.38)  # half-extent
@@ -174,8 +175,9 @@ def generate_synthetic(n, num_classes, size=(32, 32), noise_std=0.1, seed=0) -> 
     labels = np.arange(n) % num_classes
     labels = labels[rng.permutation(n)]
     images = np.empty((n, 1, h, w))
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     for i, cls in enumerate(labels):
-        img = _render_shape(int(cls), h, w, rng)
+        img = _render_shape(int(cls), yy, xx, rng)
         if noise_std > 0:
             img = np.clip(img + rng.normal(0.0, noise_std, size=img.shape), 0.0, 1.0)
         images[i, 0] = img

@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .losses import kd_loss
 from .tensor import ContractError
@@ -65,6 +64,19 @@ def prf1(matrix):
     }
 
 
+def _average_ranks(x):
+    """1-based ranks of `x`, each tie group sharing its mean rank; all NaN if `x` holds a NaN."""
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc_ovr(probs, true_labels):
     """One-vs-rest ROC-AUC per class via the Mann-Whitney rank statistic.
 
@@ -82,7 +94,7 @@ def roc_auc_ovr(probs, true_labels):
         if n_pos == 0 or n_neg == 0:
             aucs.append(None)
             continue
-        ranks = rankdata(probs[:, c])  # average ranks handle ties at half weight
+        ranks = _average_ranks(probs[:, c])  # average ranks handle ties at half weight
         u = ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0
         aucs.append(float(u / (n_pos * n_neg)))
     defined = [a for a in aucs if a is not None]

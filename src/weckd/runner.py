@@ -36,9 +36,12 @@ def load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
         s = cfg.dataset["synthetic"]
         return generate_synthetic(s["n"], s["classes"], (s["height"], s["width"]),
                                   s["noise_std"], s["seed"])
-    dataset = load_idx(cfg.dataset["idx"]["images"], cfg.dataset["idx"]["labels"])
+    images, labels = cfg.dataset["idx"]["images"], cfg.dataset["idx"]["labels"]
+    dataset = load_idx(images, labels)
+    if len(dataset) < 10:  # the fewest that `partition` splits
+        raise ContractError(f"{images} holds {len(dataset)} images; training needs at least 10")
     if dataset.num_classes < 2:  # load_idx takes K from the largest label
-        raise ContractError(f"{cfg.dataset['idx']['labels']}: every label is 0; training needs 2 classes")
+        raise ContractError(f"{labels}: every label is 0; training needs 2 classes")
     return dataset
 
 

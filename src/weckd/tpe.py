@@ -1,11 +1,12 @@
 """Univariate tree-structured Parzen estimator search over (learning rate, alpha, temperature)."""
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import truncnorm
 
 from .tensor import ContractError
 
@@ -67,16 +68,49 @@ def _bandwidth(obs, lo, hi):
     return max(span / np.sqrt(len(obs)), 0.01 * span)
 
 
+_erfc = np.vectorize(math.erfc, otypes=[float])
+_norm_ppf = np.vectorize(NormalDist().inv_cdf, otypes=[float])
+
+
+def _norm_cdf(x):
+    return 0.5 * _erfc(-x / math.sqrt(2.0))
+
+
+def _norm_mass(a, b):
+    """Standard normal mass on [a, b]; for a > 0, that of [-b, -a], whose CDF values are not near 1."""
+    return np.where(a > 0, _norm_cdf(-a) - _norm_cdf(-b), _norm_cdf(b) - _norm_cdf(a))
+
+
+def _truncnorm_ppf(q, a, b):
+    """Inverse CDF of the standard normal truncated to [a, b], elementwise.
+
+    As scipy.stats.truncnorm does, it inverts from the lower tail where a < 0
+    and from the upper tail elsewhere, so a far tail keeps its precision.
+    """
+    out = np.empty_like(q)
+    low = a < 0
+    mass = _norm_mass(a, b)
+    out[low] = _norm_ppf(_norm_cdf(a[low]) + q[low] * mass[low])
+    high = ~low
+    out[high] = -_norm_ppf(_norm_cdf(-b[high]) + (1.0 - q[high]) * mass[high])
+    return out
+
+
 def _kde_logpdf(x, obs, bw, lo, hi):
-    a, b = (lo - obs) / bw, (hi - obs) / bw
-    pdf = np.array([truncnorm.pdf(x, a[i], b[i], loc=obs[i], scale=bw) for i in range(len(obs))])
+    """Log of the mean of the Gaussians at `obs`, each truncated to [lo, hi]."""
+    a, b = (lo - obs[:, None]) / bw, (hi - obs[:, None]) / bw
+    z = (x[None, :] - obs[:, None]) / bw
+    mass = _norm_mass(a, b)
+    pdf = np.where((a <= z) & (z <= b),
+                   np.exp(-0.5 * z ** 2) / (math.sqrt(2.0 * math.pi) * mass), 0.0) / bw
     return np.log(np.maximum(pdf.mean(axis=0), 1e-300))
 
 
 def _kde_sample(obs, bw, lo, hi, n, rng):
+    """n draws from the truncated KDE; one uniform each, mapped by the inverse CDF."""
     centers = obs[rng.integers(0, len(obs), size=n)]
     a, b = (lo - centers) / bw, (hi - centers) / bw
-    return truncnorm.rvs(a, b, loc=centers, scale=bw, size=n, random_state=rng)
+    return _truncnorm_ppf(rng.uniform(size=n), a, b) * bw + centers
 
 
 def suggest(history, space: SearchSpace, trial_seed):

@@ -7,6 +7,8 @@ import math
 import operator
 import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -99,6 +101,18 @@ def test_gen_data_deterministic_bytes(tmp_path):
     assert open(a + "-images.idx", "rb").read() == open(b + "-images.idx", "rb").read()
 
 
+def test_cli_and_runner_load_no_scipy_module():
+    # a fresh interpreter: this process may have imported scipy already
+    src = os.path.dirname(os.path.dirname(weckd.runner.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, weckd.cli, weckd.runner; "
+             "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_gen_data_too_many_classes_is_usage_error(tmp_path, capsys):
     code = main(["gen-data", "--out", str(tmp_path / "x"), "--classes", "9"])
     assert code == 2
@@ -137,6 +151,19 @@ def test_one_class_idx_labels_are_usage_error_naming_the_labels_file(tmp_path, c
     assert main([command, "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert labels in err and "$.backbone" not in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("n", [0, 5])
+def test_too_few_idx_images_is_usage_error_naming_the_images_file(tmp_path, capsys, n):
+    ds = generate_synthetic(60, 2, (12, 12), 0.1, seed=0)
+    images, labels = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    write_idx(LabeledDataset(ds.images[:n], ds.labels[:n], ["a", "b"], 2), images, labels)
+    doc = dict(TINY_EXPERIMENT, dataset={"idx": {"images": images, "labels": labels}})
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert f"{images} holds {n} images" in err and "partition" not in err
     assert not out_dir.exists()
 
 

@@ -4,6 +4,7 @@ import pytest
 from weckd.backbone import BackboneConfig, build_model
 from weckd.data import generate_synthetic, partition
 from weckd.metrics import (
+    _average_ranks,
     confusion_matrix,
     prf1,
     roc_auc_ovr,
@@ -113,6 +114,24 @@ def test_auc_invariant_under_monotone_transforms():
         t = fn(scores)
         out = roc_auc_ovr(np.stack([t, t.max() + 1 - t], axis=1), labels)["per_class"][0]
         assert out == pytest.approx(base, abs=1e-12)
+
+
+def test_average_ranks_equal_scipy_rankdata_on_tie_heavy_vectors():
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(3)
+    vectors = [np.array([0.5]), np.full(7, 0.25), np.array([0.0, -0.0, 1.0, -0.0]),
+               np.array([np.inf, 1.0, -np.inf, 1.0, np.inf])]
+    vectors += [rng.integers(0, levels, size=n) / levels
+                for n in (2, 9, 64, 500) for levels in (1, 2, 3, 7, 50)]
+    for x in vectors:
+        np.testing.assert_array_equal(_average_ranks(x), stats.rankdata(x))
+
+
+def test_auc_of_a_column_holding_nan_is_nan():
+    probs = np.array([[0.9, 0.1], [np.nan, 0.2], [0.3, 0.7], [0.2, 0.8]])
+    out = roc_auc_ovr(probs, [0, 0, 1, 1])
+    assert np.isnan(out["per_class"][0]) and out["per_class"][1] == 1.0
+    assert np.isnan(out["macro"])
 
 
 def _tiny_chain_models():

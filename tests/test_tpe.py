@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import weckd.tpe
 from weckd.tensor import ShapeError
 from weckd.tpe import SearchSpace, StudyError, TrialRecord, run_study, suggest
 
@@ -129,3 +130,65 @@ def test_tpe_finds_quadratic_optimum_better_than_chance():
 
     best, _ = run_study(objective, SearchSpace(), 20, seed=2)
     assert abs(best.params[1] - 0.7) < 0.1
+
+
+# the scipy oracles: a test calls them only after pytest.importorskip("scipy.stats")
+def _scipy_kde_sample(obs, bw, lo, hi, n, rng):
+    from scipy.stats import truncnorm
+    centers = obs[rng.integers(0, len(obs), size=n)]
+    return truncnorm.rvs((lo - centers) / bw, (hi - centers) / bw, loc=centers, scale=bw,
+                         size=n, random_state=rng)
+
+
+def _scipy_kde_logpdf(x, obs, bw, lo, hi):
+    from scipy.stats import truncnorm
+    pdf = [truncnorm.pdf(x, (lo - o) / bw, (hi - o) / bw, loc=o, scale=bw) for o in obs]
+    return np.log(np.maximum(np.mean(pdf, axis=0), 1e-300))
+
+
+def _kde_cases():
+    """(obs, bw, lo, hi) over each dimension's internal range: centres at lo and
+    hi among them, bandwidths at the 0.01 * span floor and above it."""
+    rng = np.random.default_rng(11)
+    for dim in SearchSpace().dimensions():
+        lo, hi = dim.to_internal(dim.low), dim.to_internal(dim.high)
+        span = hi - lo
+        for obs in (np.array([lo]), np.array([hi]), np.r_[lo, rng.uniform(lo, hi, 1), hi],
+                    np.r_[lo, rng.uniform(lo, hi, 6), hi]):
+            for bw in (0.01 * span, span / np.sqrt(len(obs))):
+                yield obs, bw, lo, hi
+
+
+def test_kde_sampler_matches_scipy_truncnorm_from_the_same_generator():
+    pytest.importorskip("scipy.stats")
+    for seed, (obs, bw, lo, hi) in enumerate(_kde_cases()):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = weckd.tpe._kde_sample(obs, bw, lo, hi, 200, ours)
+        want = _scipy_kde_sample(obs, bw, lo, hi, 200, theirs)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert ours.uniform() == theirs.uniform()  # both drew the same stream
+
+
+def test_kde_pdf_matches_scipy_truncnorm():
+    pytest.importorskip("scipy.stats")
+    for obs, bw, lo, hi in _kde_cases():
+        span = hi - lo
+        x = np.concatenate([np.linspace(lo, hi, 41), [lo - 0.01 * span, hi + 0.01 * span]])
+        np.testing.assert_allclose(np.exp(weckd.tpe._kde_logpdf(x, obs, bw, lo, hi)),
+                                   np.exp(_scipy_kde_logpdf(x, obs, bw, lo, hi)),
+                                   rtol=1e-12, atol=0)
+
+
+def test_suggest_matches_a_scipy_truncnorm_suggest(monkeypatch):
+    pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(5)
+    histories = []
+    for n in (2, 3, 5, 9, 14):
+        histories.append([TrialRecord(i, (10 ** rng.uniform(-5, -2), rng.uniform(0.5, 0.9),
+                                          rng.uniform(1, 5)), float(rng.random()), "complete")
+                          for i in range(n)])
+    ours = [suggest(h, SearchSpace(), seed) for seed, h in enumerate(histories)]
+    monkeypatch.setattr(weckd.tpe, "_kde_sample", _scipy_kde_sample)
+    monkeypatch.setattr(weckd.tpe, "_kde_logpdf", _scipy_kde_logpdf)
+    for seed, (h, got) in enumerate(zip(histories, ours)):
+        np.testing.assert_allclose(got, suggest(h, SearchSpace(), seed), rtol=1e-12, atol=0)
