@@ -107,6 +107,10 @@ def write_idx(dataset: LabeledDataset, images_path, labels_path):
         raise ContractError(
             f"IDX stores single-channel images; dataset has {dataset.images.shape[1]} channels"
         )
+    if len(dataset) and dataset.labels.max() > 255:
+        raise ContractError(
+            f"IDX stores labels as u8; the largest label, {dataset.labels.max()}, exceeds 255"
+        )
     n, _, h, w = dataset.images.shape
     pixels = np.clip(np.rint(dataset.images[:, 0] * 255.0), 0, 255).astype(np.uint8)
     with open(images_path, "wb") as f:

@@ -48,18 +48,23 @@ def softmax_temperature(z, temp):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _check_one_hot(y):
-    y = np.asarray(y, dtype=np.float64)
-    if not (np.all((y == 0.0) | (y == 1.0)) and np.allclose(y.sum(axis=-1), 1.0)):
-        raise ContractError("labels must be one-hot rows")
-    return y
+def _check_labels(labels, shape):
+    """`labels` as integer class indices, one in [0, K) per row of a (B, K) `shape`."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or not np.issubdtype(labels.dtype, np.integer):
+        raise ContractError(f"labels must be a 1-D integer vector, got {labels.dtype} {labels.shape}")
+    if labels.size == 0 or labels.size != shape[0]:
+        raise ContractError(f"{labels.size} labels for {shape[0]} rows; need one per row, at least one")
+    if labels.min() < 0 or labels.max() >= shape[-1]:
+        raise ContractError(f"labels must lie in [0, {shape[-1]}), got [{labels.min()}, {labels.max()}]")
+    return labels
 
 
-def ce_loss(p, y_onehot):
-    """Mean cross-entropy of probability rows against one-hot labels."""
-    y = _check_one_hot(y_onehot)
+def ce_loss(p, labels):
+    """Mean cross-entropy of probability rows against integer class labels."""
     p = np.asarray(p, dtype=np.float64)
-    return float(-(y * np.log(np.maximum(p, 1e-12))).sum(axis=-1).mean())
+    labels = _check_labels(labels, p.shape)
+    return float(-np.log(np.maximum(p[np.arange(labels.size), labels], 1e-12)).mean())
 
 
 def kd_loss(z_student, z_teacher, temp):
@@ -76,9 +81,9 @@ def kd_loss(z_student, z_teacher, temp):
     return float(kl.mean())
 
 
-def hybrid_loss(z_student, z_teacher, y_onehot, alpha, temp,
+def hybrid_loss(z_student, z_teacher, labels, alpha, temp,
                 t_squared_compensation=False):
-    """alpha * CE(student at T=1, y) + (1-alpha) * KL(teacher_T || student_T).
+    """alpha * CE(student at T=1, labels) + (1-alpha) * KL(teacher_T || student_T).
 
     With t_squared_compensation the KL term is weighted by T^2 as well, the
     objective whose gradient `hybrid_loss_grad` returns for the same flag.
@@ -86,27 +91,28 @@ def hybrid_loss(z_student, z_teacher, y_onehot, alpha, temp,
     """
     if not 0.0 <= alpha <= 1.0:
         raise ContractError(f"alpha must be in [0,1], got {alpha}")
-    ce = ce_loss(softmax_temperature(z_student, 1.0), y_onehot)
+    ce = ce_loss(softmax_temperature(z_student, 1.0), labels)
     kd = kd_loss(z_student, z_teacher, temp)
     kd_weight = (1.0 - alpha) * (temp * temp if t_squared_compensation else 1.0)
     return alpha * ce + kd_weight * kd, ce, kd
 
 
-def hybrid_loss_grad(z_student, z_teacher, y_onehot, alpha, temp,
+def hybrid_loss_grad(z_student, z_teacher, labels, alpha, temp,
                      t_squared_compensation=False):
     """Closed-form d(hybrid)/d(student logits), shape (B, K)."""
     if not 0.0 <= alpha <= 1.0:
         raise ContractError(f"alpha must be in [0,1], got {alpha}")
-    y = _check_one_hot(y_onehot)
     z_student = np.asarray(z_student, dtype=np.float64)
     z_teacher = np.asarray(z_teacher, dtype=np.float64)
     if z_student.shape != z_teacher.shape:
         raise ContractError(
             f"student logits {z_student.shape} and teacher logits {z_teacher.shape} disagree"
         )
+    labels = _check_labels(labels, z_student.shape)
     B = z_student.shape[0]
     ps = softmax_temperature(z_student, 1.0)
-    g = alpha * (ps - y) / B
+    ps[np.arange(B), labels] -= 1.0  # softmax minus the one-hot rows of the labels
+    g = alpha * ps / B
     if alpha < 1.0:
         ps_t = softmax_temperature(z_student, temp)
         pt_t = softmax_temperature(z_teacher, temp)

@@ -14,7 +14,7 @@ from .backbone import BackboneConfig
 from .config import ExperimentConfig, _build, canonical_config
 from .data import LabeledDataset, generate_synthetic, load_idx, partition
 from .metrics import confusion_matrix, prf1, roc_auc_ovr, theory_report
-from .losses import softmax_temperature
+from .losses import ce_loss, softmax_temperature
 from .tensor import ContractError
 from .tpe import SearchSpace, run_study
 from .training import (
@@ -92,16 +92,16 @@ def deltas(progression):
     }
 
 
-def _classify(logits, labels, k):
-    """(K x K confusion matrix, `prf1` scores, `roc_auc_ovr` AUCs) of `logits`."""
-    probs = softmax_temperature(logits, 1.0)
+def _classify(probs, labels, k):
+    """(K x K confusion matrix, `prf1` scores, `roc_auc_ovr` AUCs) of probability rows."""
     cm = confusion_matrix(probs.argmax(axis=1), labels, k)
     return cm, prf1(cm), roc_auc_ovr(probs, labels)
 
 
 def _metrics_payload(progression, test_logits, dataset, split):
     k = dataset.num_classes
-    cm, scores, auc = _classify(test_logits[-1], dataset.labels[split.d_test], k)
+    cm, scores, auc = _classify(softmax_temperature(test_logits[-1], 1.0),
+                                dataset.labels[split.d_test], k)
     theory = theory_report(progression, test_logits)
     return {
         "accuracy": scores["accuracy"],
@@ -260,12 +260,11 @@ def evaluate_model(model, dataset):
     One pass over the data; the class count is the checkpoint's, so data
     that lacks the top classes still gets a K x K confusion matrix.
     """
-    logits = logits_of(model, dataset, np.arange(len(dataset)))
-    cm, scores, auc = _classify(logits, dataset.labels, model.num_classes)
-    loss, _ = loss_accuracy(logits, dataset.labels)
+    probs = softmax_temperature(logits_of(model, dataset, np.arange(len(dataset))), 1.0)
+    cm, scores, auc = _classify(probs, dataset.labels, model.num_classes)
     return {
         "accuracy": scores["accuracy"],
-        "loss": float(loss),
+        "loss": ce_loss(probs, dataset.labels),  # `loss_accuracy`'s CE, from the same softmax
         "macro": scores["macro"],
         "weighted": scores["weighted"],
         "per_class": scores["per_class"],

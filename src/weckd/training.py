@@ -22,7 +22,8 @@ from .backbone import (
     param_shapes,
 )
 from .data import DatasetSplit, LabeledDataset, make_batches
-from .losses import DistillParams, anneal_temperature, hybrid_loss, hybrid_loss_grad, softmax_temperature
+from .losses import (DistillParams, anneal_temperature, ce_loss, hybrid_loss, hybrid_loss_grad,
+                     softmax_temperature)
 from .tensor import ContractError, NumericError
 
 __all__ = [
@@ -95,17 +96,6 @@ class ChainResult:
     teacher_digests: list         # per distill stage: (digest before, digest after)
 
 
-def _one_hot(labels, k):
-    out = np.zeros((labels.size, k))
-    out[np.arange(labels.size), labels] = 1.0
-    return out
-
-
-def _ce_correct(probs, y):
-    ce = -(np.log(np.maximum(probs[np.arange(y.size), y], 1e-12)))
-    return ce.sum(), (probs.argmax(axis=1) == y).sum(), y.size
-
-
 def _logits(model, dataset, indices, batch_size):
     """`forward` over `indices` in batches of `batch_size`, stacked."""
     return np.concatenate([forward(model, x) for x, _ in make_batches(dataset, indices, batch_size)])
@@ -114,28 +104,18 @@ def _logits(model, dataset, indices, batch_size):
 def evaluate(model, dataset, indices, batch_size=256):
     """Mean CE loss and accuracy over `indices` (pure inference)."""
     logits = _logits(model, dataset, indices, batch_size)
-    return loss_accuracy(logits, dataset.labels[np.asarray(indices)], batch_size)
+    return loss_accuracy(logits, dataset.labels[np.asarray(indices)])
 
 
 def logits_of(model, dataset, indices, batch_size=256):
-    """Stacked logits over `indices`, inference mode, batched as in evaluate."""
+    """Stacked inference logits over `indices`, one `forward` per batch of `batch_size`."""
     return _logits(model, dataset, indices, batch_size)
 
 
-def loss_accuracy(logits, labels, batch_size=256):
-    """Mean CE loss and accuracy of `logits` against `labels`.
-
-    The CE is summed per chunk of `batch_size` rows and the chunk sums are
-    added in order, so logits from `logits_of` at `evaluate`'s batch size
-    give `evaluate`'s loss bit for bit.
-    """
-    labels = np.asarray(labels)
-    parts = [
-        _ce_correct(softmax_temperature(logits[s:s + batch_size], 1.0), labels[s:s + batch_size])
-        for s in range(0, labels.size, batch_size)
-    ]
-    total = sum(p[2] for p in parts)
-    return sum(p[0] for p in parts) / total, sum(p[1] for p in parts) / total
+def loss_accuracy(logits, labels):
+    """Mean CE (`ce_loss` of one softmax over all rows) and accuracy against integer `labels`."""
+    probs = softmax_temperature(logits, 1.0)
+    return ce_loss(probs, labels), float((probs.argmax(axis=1) == labels).mean())
 
 
 def scheduler_step(val_losses, lr, cfg: TrainConfig, decays_done=0):
@@ -207,13 +187,12 @@ def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
             idx = train_idx[rows]
             x, y = dataset.images[idx], dataset.labels[idx]
             t0 = time.perf_counter()
-            y1 = _one_hot(y, model.num_classes)
             tape = T.Tape()
             logits_node = forward_on_tape(Model(model.config, params), tape, x)
             z = logits_node.value
             zt = z if teacher_z is None else teacher_z[rows]
-            loss, _, _ = hybrid_loss(z, zt, y1, alpha, temp, t_squared_compensation=tsc)
-            dz = hybrid_loss_grad(z, zt, y1, alpha, temp, t_squared_compensation=tsc)
+            loss, _, _ = hybrid_loss(z, zt, y, alpha, temp, t_squared_compensation=tsc)
+            dz = hybrid_loss_grad(z, zt, y, alpha, temp, t_squared_compensation=tsc)
             if not np.isfinite(loss):
                 raise NumericError(
                     f"non-finite loss at stage {stage_index}, epoch {epoch}, batch {bi}"

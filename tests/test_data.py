@@ -30,6 +30,19 @@ def test_idx_round_trip_bit_exact(tmp_path):
     np.testing.assert_array_equal(back.labels, ds.labels)
 
 
+def test_idx_refuses_labels_beyond_u8_before_opening_a_file(tmp_path):
+    ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
+    top = LabeledDataset(np.zeros((2, 1, 2, 2)), np.array([0, 255]), [str(c) for c in range(256)], 256)
+    write_idx(top, str(ip), str(lp))
+    np.testing.assert_array_equal(load_idx(str(ip), str(lp)).labels, [0, 255])
+    ip.unlink(); lp.unlink()
+    # as u8, 256 and 300 would read back as 0 and 44
+    wide = LabeledDataset(np.zeros((3, 1, 2, 2)), np.array([0, 256, 300]), [str(c) for c in range(301)], 301)
+    with pytest.raises(ContractError, match="300"):
+        write_idx(wide, str(ip), str(lp))
+    assert not ip.exists() and not lp.exists()
+
+
 def test_idx_normalization_endpoints(tmp_path):
     images = np.array([0.0, 1.0, 1.0, 0.0]).reshape(1, 1, 2, 2)
     ds = LabeledDataset(images, np.array([0]), ["a", "b"], 2)

@@ -51,24 +51,71 @@ def test_entropy_increases_with_temperature():
 
 def test_ce_perfect_prediction():
     p = np.array([[0.0, 1.0]])
-    y = np.array([[0.0, 1.0]])
+    y = np.array([1])
     assert ce_loss(np.clip(p, 1e-12, 1), y) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_ce_uniform_is_log_k():
     p = np.full((3, 4), 0.25)
-    y = np.eye(4)[[0, 1, 2]]
+    y = np.array([0, 1, 2])
     assert ce_loss(p, y) == pytest.approx(np.log(4), abs=1e-12)
 
 
 def test_ce_known_value():
-    assert ce_loss(np.array([[0.7, 0.3]]), np.array([[1.0, 0.0]])) == pytest.approx(
+    assert ce_loss(np.array([[0.7, 0.3]]), np.array([0])) == pytest.approx(
         0.356675, abs=1e-6)
 
 
-def test_ce_rejects_soft_labels():
+BAD_LABELS = {
+    "one_hot_rows": np.eye(3)[[0, 2, 1, 0]],
+    "float_labels": np.array([0.0, 2.0, 1.0, 0.0]),
+    "label_at_k": np.array([0, 3, 1, 0]),
+    "negative_label": np.array([0, -1, 1, 0]),
+    "one_row_short": np.array([0, 2, 1]),
+    "empty": np.array([], dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("loss", ["ce_loss", "hybrid_loss", "hybrid_loss_grad"])
+@pytest.mark.parametrize("case", BAD_LABELS)
+def test_losses_reject_anything_but_one_class_index_per_row(loss, case):
+    z = np.random.default_rng(0).normal(size=(4, 3))
+    call = {
+        "ce_loss": lambda y: ce_loss(softmax_temperature(z, 1.0), y),
+        "hybrid_loss": lambda y: hybrid_loss(z, z, y, 0.5, 2.0),
+        "hybrid_loss_grad": lambda y: hybrid_loss_grad(z, z, y, 0.5, 2.0),
+    }[loss]
+    call(np.array([0, 2, 1, 0]))
+    if case == "empty":  # and no logit rows, so that only the emptiness check can refuse it
+        z = z[:0]
     with pytest.raises(ContractError):
-        ce_loss(np.array([[0.5, 0.5]]), np.array([[0.5, 0.5]]))
+        call(BAD_LABELS[case])
+
+
+def test_index_labels_give_the_one_hot_formulas_bit_for_bit():
+    # the one-hot forms of CE, the hybrid loss and its gradient, on Y = eye(K)[labels]
+    rng = np.random.default_rng(8)
+    for tsc in (False, True):
+        for _ in range(200):
+            B, K = int(rng.integers(1, 300)), int(rng.integers(2, 9))
+            zs, zt = rng.normal(0, 3, size=(B, K)), rng.normal(0, 3, size=(B, K))
+            labels = rng.integers(0, K, B)
+            # alpha = 1 is the stage-1 step, which has no KL gradient
+            alpha = float(rng.choice([rng.uniform(0, 1), 1.0]))
+            temp = float(rng.uniform(1, 5))
+            Y = np.eye(K)[labels]
+            ps = softmax_temperature(zs, 1.0)
+            ce = float(-(Y * np.log(np.maximum(ps, 1e-12))).sum(axis=-1).mean())
+            kd = kd_loss(zs, zt, temp)
+            kd_weight = (1.0 - alpha) * (temp * temp if tsc else 1.0)
+            g = alpha * (ps - Y) / B
+            if alpha < 1.0:
+                kd_scale = temp if tsc else 1.0 / temp
+                g = g + (1.0 - alpha) * kd_scale * (
+                    softmax_temperature(zs, temp) - softmax_temperature(zt, temp)) / B
+            assert ce_loss(ps, labels) == ce
+            assert hybrid_loss(zs, zt, labels, alpha, temp, tsc) == (alpha * ce + kd_weight * kd, ce, kd)
+            assert hybrid_loss_grad(zs, zt, labels, alpha, temp, tsc).tobytes() == g.tobytes()
 
 
 def test_kd_zero_at_equality():
@@ -106,7 +153,7 @@ def test_hybrid_alpha_endpoints():
     rng = np.random.default_rng(3)
     zs = rng.normal(size=(4, 3))
     zt = rng.normal(size=(4, 3))
-    y = np.eye(3)[rng.integers(0, 3, 4)]
+    y = rng.integers(0, 3, 4)
     total1, ce, _ = hybrid_loss(zs, zt, y, 1.0, 2.0)
     assert total1 == ce
     total0, _, kd = hybrid_loss(zs, zt, y, 0.0, 2.0)
@@ -117,7 +164,7 @@ def test_hybrid_exact_linear_combination():
     rng = np.random.default_rng(4)
     zs = rng.normal(size=(4, 3))
     zt = rng.normal(size=(4, 3))
-    y = np.eye(3)[rng.integers(0, 3, 4)]
+    y = rng.integers(0, 3, 4)
     for alpha in np.linspace(0, 1, 11):
         total, ce, kd = hybrid_loss(zs, zt, y, float(alpha), 3.0)
         assert total == pytest.approx(alpha * ce + (1 - alpha) * kd, abs=1e-15)
@@ -126,7 +173,7 @@ def test_hybrid_exact_linear_combination():
 def test_hybrid_weighting_arithmetic():
     # with ce=1.0 and kd=0.5, weight 0.7365 mixes to 0.86825
     zs = np.array([[3.0, 0.0]])
-    y = np.array([[1.0, 0.0]])
+    y = np.array([0])
     total, ce, kd = hybrid_loss(zs, zs * 0.5, y, 0.7365, 2.0)
     assert total == pytest.approx(0.7365 * ce + 0.2635 * kd, abs=1e-15)
     assert 0.7365 * 1.0 + 0.2635 * 0.5 == pytest.approx(0.86825, abs=1e-9)
@@ -135,14 +182,14 @@ def test_hybrid_weighting_arithmetic():
 def test_hybrid_grad_zero_at_global_minimum():
     # student matches teacher exactly and puts all mass on the true class
     zs = np.array([[40.0, 0.0]])
-    y = np.array([[1.0, 0.0]])
+    y = np.array([0])
     g = hybrid_loss_grad(zs, zs, y, 0.7, 2.0)
     assert np.all(np.abs(g) < 1e-12)
 
 
 def test_hybrid_grad_softmax_ce_identity():
     z = np.log(np.array([[0.7, 0.3]]))
-    g = hybrid_loss_grad(z, z, np.array([[1.0, 0.0]]), 1.0, 1.0)
+    g = hybrid_loss_grad(z, z, np.array([0]), 1.0, 1.0)
     np.testing.assert_allclose(g, [[-0.3, 0.3]], atol=1e-12)
 
 
@@ -154,7 +201,7 @@ def test_hybrid_grad_matches_finite_differences():
             B, K = int(rng.integers(1, 5)), int(rng.integers(2, 6))
             zs = rng.normal(0, 2, size=(B, K))
             zt = rng.normal(0, 2, size=(B, K))
-            y = np.eye(K)[rng.integers(0, K, B)]
+            y = rng.integers(0, K, B)
             alpha = float(rng.uniform(0, 1))
             temp = float(rng.uniform(1, 5))
             g = hybrid_loss_grad(zs, zt, y, alpha, temp, t_squared_compensation=tsc)
@@ -175,7 +222,7 @@ def test_hybrid_grad_matches_finite_differences():
 def test_hybrid_t_squared_weights_only_the_kd_term():
     rng = np.random.default_rng(7)
     zs, zt = rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
-    y = np.eye(3)[rng.integers(0, 3, 4)]
+    y = rng.integers(0, 3, 4)
     plain = hybrid_loss(zs, zt, y, 0.4, 3.0)
     scaled = hybrid_loss(zs, zt, y, 0.4, 3.0, t_squared_compensation=True)
     assert scaled[1:] == plain[1:]
