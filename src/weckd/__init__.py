@@ -5,6 +5,15 @@ student learning from hard labels plus its frozen predecessor's
 temperature-softened predictions, with an attention-augmented CNN backbone
 and TPE hyperparameter search.
 """
+import os
+
+# Training runs each batch as one row block per CPU on its own thread, so BLAS
+# gets one thread per call: its own threads would compete with the blocks for
+# the same cores. This holds only when numpy is first imported after this line;
+# a variable already set in the environment is kept.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .backbone import BackboneConfig, Model, build_model
 from .data import DatasetSplit, LabeledDataset, generate_synthetic, load_idx, partition, write_idx
 from .losses import DistillParams, anneal_temperature, ce_loss, hybrid_loss, kd_loss, softmax_temperature

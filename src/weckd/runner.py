@@ -160,10 +160,10 @@ def _write_progression_csv(path, dataset_name, progression):
 def _write_timing_csv(path, chain: ChainResult):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(["stage", "steps_per_epoch", "ms_per_step", "epochs_run"])
+        writer.writerow(["stage", "steps_per_epoch", "ms_per_step", "epochs_run", "row_blocks"])
         for i, r in enumerate(chain.stage_results):
             writer.writerow([f"M{i + 1}", r.steps_per_epoch,
-                             f"{r.ms_per_step:.3f}", len(r.epoch_curves)])
+                             f"{r.ms_per_step:.3f}", len(r.epoch_curves), r.row_blocks])
 
 
 def _dataset_name(cfg: ExperimentConfig):

@@ -17,8 +17,19 @@ contiguous run, and col2im add it back the same way. maxpool2 takes the max
 of column pairs, then of row pairs, and the tape keeps one first-wins mask
 per pass. The copies feed the same GEMMs in the same order,
 so no result depends on these layouts.
+
+A batch may be recorded as row blocks, one `Tape` each, swept on separate
+threads. A row's forward values and input gradients do not depend on its
+block: conv GEMMs run per image, the other ops are elementwise, and a
+block's dense GEMMs run over the whole batch's row count. Each weight's
+gradient is kept as its per-row terms and summed once over the rows of all
+blocks joined (`Gradients`), so the gradients are one tape's, bit for bit,
+for any split. One tape is the one-block case.
 """
 from __future__ import annotations
+
+from collections.abc import MutableMapping
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -28,6 +39,7 @@ __all__ = [
     "ContractError",
     "NumericError",
     "Tape",
+    "Gradients",
     "conv2d",
     "attention_scores",
     "scale_spatial",
@@ -224,16 +236,33 @@ class _Node:
         self.name = name  # set only for trainable parameters
 
 
+def _at_rows(fn, a, rows):
+    """fn(a) for a row-wise GEMM `fn`, run over `rows` rows: a's rows and then
+    zeros. BLAS picks its kernel by the row count, and kernels differ in the
+    last bits (OpenBLAS 0.3.31 on AVX-512 takes another kernel for the
+    128 -> 64 head's `g @ w.T` at 2-18 rows than at 19 or more), so a row
+    block's rows get the bits one tape over the whole batch gives them."""
+    pad = (rows or len(a)) - len(a)
+    if pad <= 0:
+        return fn(a)
+    return fn(np.concatenate([a, np.zeros((pad,) + a.shape[1:], a.dtype)]))[:len(a)]
+
+
 class Tape:
     """Records the forward pass of the closed layer set for one backward sweep.
 
     Nodes are appended in execution order, so the list itself is the
     topological order; backward walks it once in reverse.
+
+    A tape may record one row block of a batch of `batch_rows` rows. Its
+    dense GEMMs then run over that many rows (see `_at_rows`), and its
+    `Gradients` join with the other blocks' into the whole batch's.
     """
 
-    def __init__(self):
+    def __init__(self, batch_rows=None):
         self._nodes = []
         self._params = {}  # name -> node
+        self.batch_rows = batch_rows
 
     def _add(self, node):
         self._nodes.append(node)
@@ -263,10 +292,11 @@ class Tape:
         def vjp_w(g):
             # per-image (F, H*W) @ (H*W, C*k*k), summed over the batch
             g3 = g.reshape(g.shape[0], wshape[0], -1)
-            return np.matmul(g3, cols.transpose(0, 2, 1)).sum(axis=0).reshape(wshape)
+            return _RowTerms((np.matmul(g3, cols.transpose(0, 2, 1)),),
+                             lambda m: m.sum(axis=0).reshape(wshape))
 
         def vjp_b(g):
-            return g.sum(axis=(0, 2, 3))
+            return _RowTerms((g,), lambda g: g.sum(axis=(0, 2, 3)))
 
         return self._add(_Node(out, ((x, vjp_x), (w, vjp_w), (b, vjp_b))))
 
@@ -300,12 +330,14 @@ class Tape:
         return self._add(_Node(out, ((x, vjp),)))
 
     def dense(self, x, w, b):
-        out = dense(x.value, w.value, b.value)
-        xv, wv = x.value, w.value
+        # the VJPs must not hold the tape: a cycle would keep every step's
+        # arrays alive until the cyclic garbage collector ran
+        xv, wv, rows = x.value, w.value, self.batch_rows
+        out = _at_rows(lambda x: dense(x, wv, b.value), xv, rows)
         return self._add(_Node(out, (
-            (x, lambda g: g @ wv.T),
-            (w, lambda g: xv.T @ g),
-            (b, lambda g: g.sum(axis=0)),
+            (x, lambda g: _at_rows(lambda g: g @ wv.T, g, rows)),
+            (w, lambda g: _RowTerms((xv, g), lambda x, g: x.T @ g)),
+            (b, lambda g: _RowTerms((g,), lambda g: g.sum(axis=0))),
         )))
 
     def gap(self, x):
@@ -319,6 +351,7 @@ class Tape:
     def attention_scores(self, f, w, b):
         fv = f.value
         wv = np.asarray(w.value).reshape(-1)
+        wshape, bshape = np.shape(w.value), np.shape(b.value)
         out = attention_scores(fv, wv, b.value)
         ds = out * (1.0 - out)  # sigmoid'
 
@@ -326,10 +359,11 @@ class Tape:
             return np.einsum("bhw,c->bchw", g * ds, wv)
 
         def vjp_w(g):
-            return np.einsum("bhw,bchw->c", g * ds, fv).reshape(np.asarray(w.value).shape)
+            return _RowTerms((g * ds, fv),
+                             lambda gs, f: np.einsum("bhw,bchw->c", gs, f).reshape(wshape))
 
         def vjp_b(g):
-            return np.full(np.asarray(b.value).shape, (g * ds).sum())
+            return _RowTerms((g * ds,), lambda gs: np.full(bshape, gs.sum()))
 
         return self._add(_Node(out, ((f, vjp_f), (w, vjp_w), (b, vjp_b))))
 
@@ -345,7 +379,7 @@ class Tape:
     # -- backward -----------------------------------------------------------
 
     def backward(self, root, seed_grad=None):
-        """Reverse sweep from `root`; returns {param name -> gradient}.
+        """Reverse sweep from `root`; returns the {param name -> gradient} `Gradients`.
 
         With seed_grad omitted, `root` must be a scalar loss (seed 1).
         Parameters not reachable from `root` get zero gradients. Constant
@@ -364,21 +398,85 @@ class Tape:
                 f"seed gradient shape {seed_grad.shape} does not match root shape {value.shape}"
             )
         grads = {id(root): seed_grad}
+        terms = {name: [] for name in self._params}  # each parameter's, in sweep order
+        if root.name is not None:
+            terms[root.name].append(seed_grad)
         for node in reversed(self._nodes):
-            g = grads.get(id(node))
+            g = grads.pop(id(node), None)
             if g is None:
                 continue
             for parent, fn in node.vjps:
-                if parent.name is None and not parent.vjps:
-                    continue  # a constant leaf: nothing reads its gradient
-                contrib = fn(g)
-                prev = grads.get(id(parent))
-                grads[id(parent)] = contrib if prev is None else prev + contrib
-        out = {}
-        for name, node in self._params.items():
-            g = grads.get(id(node))
-            out[name] = np.zeros_like(node.value) if g is None else g
-        return out
+                if parent.vjps:  # an op's output: its gradient flows on
+                    contrib = fn(g)
+                    prev = grads.get(id(parent))
+                    grads[id(parent)] = contrib if prev is None else prev + contrib
+                elif parent.name is not None:
+                    terms[parent.name].append(fn(g))
+                # else a constant leaf: nothing reads its gradient
+        return Gradients([{name: (node.value, terms[name]) for name, node in self._params.items()}])
+
+
+class _RowTerms(NamedTuple):
+    """A weight's gradient before its sum over the batch: `reduce(*parts)`, where
+    each part holds one entry per batch row along its first axis."""
+    parts: tuple
+    reduce: Callable
+
+
+def _joined(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+class Gradients(MutableMapping):
+    """{param name -> gradient} of the backward sweeps of a batch's row blocks.
+
+    A sweep keeps each weight's gradient as its per-row terms. The sum over the
+    batch runs when the gradient is first read, once over the rows of every
+    block joined in block order, as over one whole batch: the bits do not
+    depend on how the batch was split. One `Tape.backward` is the one-block
+    case. A parameter whose gradient is row-wise (an op's input registered as
+    a parameter) gets the blocks' rows joined.
+    """
+
+    def __init__(self, blocks):
+        self._blocks = blocks  # per block: {name: (value, [gradient terms in sweep order])}
+        self._read = dict.fromkeys(blocks[0])  # name -> gradient, None until read
+
+    @classmethod
+    def join(cls, parts):
+        """The gradients of a batch from the unread `Gradients` of its row blocks, in row order."""
+        return cls([block for part in parts for block in part._blocks])
+
+    def __getitem__(self, name):
+        g = self._read[name]
+        if g is None:
+            g = self._read[name] = self._reduce(name)
+        return g
+
+    def __setitem__(self, name, value):
+        self._read[name] = value
+
+    def __delitem__(self, name):
+        del self._read[name]
+
+    def __iter__(self):
+        return iter(self._read)
+
+    def __len__(self):
+        return len(self._read)
+
+    def _reduce(self, name):
+        values, terms = zip(*(block[name] for block in self._blocks))
+        if not terms[0]:  # not reachable from the root
+            return np.zeros_like(values[0])
+        total = None
+        for term in zip(*terms):  # one VJP's term from every block
+            if isinstance(term[0], _RowTerms):
+                g = term[0].reduce(*(_joined(p) for p in zip(*(t.parts for t in term))))
+            else:
+                g = _joined(term)
+            total = g if total is None else total + g
+        return total
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import weckd.runner
+import weckd.tensor
+import weckd.training
 from weckd.backbone import BackboneConfig, build_model
 from weckd.cli import main
 from weckd.config import ConfigError, canonical_config, parse_config
@@ -129,6 +132,8 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     payload = json.load(open(os.path.join(out_dir, "metrics.json")))
     assert {"accuracy", "progression", "deltas", "theory"} <= set(payload)
     assert [row["stage"] for row in payload["progression"]] == ["M1", "M2", "M3"]
+    with open(os.path.join(out_dir, "timing.csv")) as f:
+        assert f.readline().strip() == "stage,steps_per_epoch,ms_per_step,epochs_run,row_blocks"
 
 
 def test_train_on_idx_data_with_an_empty_class(tmp_path, capsys):
@@ -269,6 +274,27 @@ def test_out_of_memory_is_runtime_error_naming_it(tmp_path, capsys, monkeypatch)
     err = capsys.readouterr().err
     assert "out of memory" in err and "74.5 GiB" in err and "Traceback" not in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("error, code", [(weckd.tensor.ShapeError, 2),
+                                         (weckd.tensor.NumericError, 1), (MemoryError, 1)])
+def test_an_error_in_a_worker_row_block_keeps_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                             error, code):
+    real = weckd.training.forward_on_tape
+
+    def failing_on_a_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise error("raised in a worker block")
+        return real(*args)
+
+    monkeypatch.setattr(weckd.training, "_cpus", lambda: 2)  # two blocks: one on the pool
+    monkeypatch.setattr(weckd.training, "forward_on_tape", failing_on_a_worker)
+    out_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, TINY_EXPERIMENT),
+                 "--out-dir", str(out_dir)]) == code
+    err = capsys.readouterr().err
+    assert "raised in a worker block" in err and "Traceback" not in err
+    assert not (out_dir / "metrics.json").exists()
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -7,6 +9,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from weckd.tensor import (
     ContractError,
+    Gradients,
     NumericError,
     ShapeError,
     Tape,
@@ -165,6 +168,45 @@ def test_unused_parameter_gets_zero_gradient():
     out = tape.relu(w)
     grads = tape.backward(out, np.ones(2))
     np.testing.assert_array_equal(grads["unused"], np.zeros(3))
+
+
+def test_a_tape_is_freed_by_reference_counting():
+    # a VJP that held its tape would make a cycle, and each training step's
+    # arrays would stay alive until the cycle collector happened to run
+    cfg = BackboneConfig(input_size=(8, 8, 1), conv_blocks=(2, 3), fc_width=4,
+                         num_classes=3, attention_enabled=True)
+    gc.disable()
+    try:
+        tape = Tape(batch_rows=4)
+        logits = forward_on_tape(build_model(cfg), tape, np.ones((2, 1, 8, 8)))
+        grads = tape.backward(logits, np.ones((2, 3)))
+        [grads[name] for name in grads]
+        alive = weakref.ref(tape)
+        del tape, logits, grads
+        assert alive() is None
+    finally:
+        gc.enable()
+
+
+def test_joined_row_blocks_give_one_tapes_gradients():
+    # w and b are used twice, so each gets two terms; x, an input registered
+    # as a parameter, gets its rows joined in block order
+    rng = np.random.default_rng(5)
+    x, w, b = rng.normal(size=(12, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)
+    g = rng.normal(size=(12, 4))
+
+    def sweep(lo, hi):
+        tape = Tape()
+        wn, bn, xn = tape.param("w", w), tape.param("b", b), tape.param("x", x[lo:hi])
+        tape.param("unused", np.ones(3))
+        return tape.backward(tape.dense(tape.relu(tape.dense(xn, wn, bn)), wn, bn), g[lo:hi])
+
+    one = sweep(0, 12)
+    for edges in ([0, 6, 12], [0, 3, 7, 12]):
+        joined = Gradients.join([sweep(lo, hi) for lo, hi in zip(edges, edges[1:])])
+        assert list(joined) == ["w", "b", "x", "unused"]
+        for name in joined:
+            assert np.array_equal(joined[name], one[name]), name
 
 
 def test_sgd_step_plain():

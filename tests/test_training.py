@@ -1,5 +1,7 @@
 import json
 import os
+import threading
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -11,7 +13,7 @@ import weckd.training
 from weckd.backbone import BackboneConfig, build_model, param_digest
 from weckd.config import parse_config
 from weckd.data import DatasetSplit, generate_synthetic, partition
-from weckd.losses import DistillParams
+from weckd.losses import DistillParams, hybrid_loss_grad
 from weckd.runner import (
     backbone_for,
     deltas,
@@ -21,7 +23,7 @@ from weckd.runner import (
     score_chain,
     tune_experiment,
 )
-from weckd.tensor import ContractError
+from weckd.tensor import ContractError, NumericError, ShapeError, Tape
 from weckd.training import (
     CHECKPOINT_DTYPE,
     CheckpointError,
@@ -211,6 +213,72 @@ def test_step_time_recorded():
     ds, split = tiny_setup()
     res = train_stage1(build_model(TINY_BB), split.d1, ds, fast_cfg())
     assert res.ms_per_step > 0
+    assert res.row_blocks == len(weckd.training._row_blocks(8, weckd.training._cpus()))
+
+
+# -- row blocks ----------------------------------------------------------------
+
+@pytest.mark.parametrize("attention", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_row_block_gradients_equal_one_tapes_bit_for_bit(attention, dtype):
+    # the default network, so every GEMM has the shapes training gives it; from
+    # 19 rows up its head's `g @ w.T` takes another BLAS kernel than below, and
+    # B = 20 and 32 in 2 blocks and B = 64 in 4 cross that line
+    from weckd.backbone import Model, forward_on_tape
+    cfg = BackboneConfig(input_size=(32, 32, 1), num_classes=4, attention_enabled=attention)
+    model = build_model(cfg)
+    model = Model(cfg, {k: v.astype(dtype) for k, v in model.params.items()})
+    rng = np.random.default_rng(1)
+    for batch in (2, 3, 5, 16, 20, 32, 64):
+        x = rng.random((batch, 1, 32, 32)).astype(dtype)
+        y = rng.integers(0, 4, batch)
+        tape = Tape()
+        out = forward_on_tape(model, tape, x)
+        dz = hybrid_loss_grad(out.value, out.value, y, 1.0, 1.0).astype(dtype)
+        one = tape.backward(out, dz)
+        for cpus in (1, 2, 3, 4):
+            seen = []
+
+            def loss_grad(z):
+                seen.append(z)
+                return 0.5, dz
+
+            z, loss, grads = weckd.training._taped_step(model, x, cpus, loss_grad)
+            assert loss == 0.5 and len(seen) == 1 and seen[0] is z
+            np.testing.assert_array_equal(z, out.value)
+            assert set(grads) == set(one)
+            for name in one:
+                assert grads[name].dtype == one[name].dtype, (batch, cpus, name)
+                assert np.array_equal(grads[name], one[name]), (batch, cpus, name)
+
+
+def test_row_blocks_cover_the_batch_in_order_and_none_has_under_two_rows():
+    for n in range(1, 70):
+        for cpus in range(1, 10):
+            blocks = weckd.training._row_blocks(n, cpus)
+            assert blocks[0][0] == 0 and blocks[-1][1] == n
+            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+            assert len(blocks) == max(1, min(cpus, n // 2))
+            if n >= 2:
+                assert min(hi - lo for lo, hi in blocks) >= 2
+
+
+@pytest.mark.parametrize("error", [ShapeError, NumericError, MemoryError])
+def test_a_worker_blocks_exception_reaches_the_caller_after_every_block(error):
+    finished = []
+
+    def block(i):
+        if i == 0:  # on a pool thread: every block but the last runs there
+            assert threading.current_thread() is not threading.main_thread()
+            raise error(f"block {i}")
+        time.sleep(0.05)
+        finished.append(i)
+        return i
+
+    with pytest.raises(error, match="block 0"):
+        weckd.training._on_blocks(block, [(0,), (1,), (2,)])
+    assert sorted(finished) == [1, 2]
+    assert weckd.training._on_blocks(lambda i: i * i, [(1,), (2,), (3,)]) == [1, 4, 9]
 
 
 # -- chain -------------------------------------------------------------------
