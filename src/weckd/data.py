@@ -193,23 +193,24 @@ def generate_synthetic(n, num_classes, size=(32, 32), noise_std=0.1, seed=0) -> 
 # partition + batching
 # ---------------------------------------------------------------------------
 
-def partition(dataset: LabeledDataset, seed, stratified=False) -> DatasetSplit:
-    """Seeded shuffle, then contiguous 10%/10%/10%/rest slices."""
+def partition(dataset: LabeledDataset, seed, stratified=True) -> DatasetSplit:
+    """Seeded per-class shuffle, classes interleaved, then contiguous
+    10%/10%/10%/rest slices. `stratified` is kept for callers that pass it;
+    the split is always stratified."""
+    if not stratified:
+        raise ContractError("partition is always stratified")
     n = len(dataset)
     if n < 10:
         raise ContractError(f"partition needs at least 10 samples, got {n}")
     rng = np.random.default_rng(seed)
-    if stratified:
-        order = [rng.permutation(np.flatnonzero(dataset.labels == c))
-                 for c in range(dataset.num_classes)]
-        # interleave classes so each contiguous slice stays balanced: row i
-        # holds each class's i-th sample, -1 where a class has run out
-        table = np.full((max(len(o) for o in order), len(order)), -1)
-        for c, o in enumerate(order):
-            table[:len(o), c] = o
-        perm = table[table >= 0]
-    else:
-        perm = rng.permutation(n)
+    order = [rng.permutation(np.flatnonzero(dataset.labels == c))
+             for c in range(dataset.num_classes)]
+    # interleave classes so each contiguous slice stays balanced: row i
+    # holds each class's i-th sample, -1 where a class has run out
+    table = np.full((max(len(o) for o in order), len(order)), -1)
+    for c, o in enumerate(order):
+        table[:len(o), c] = o
+    perm = table[table >= 0]
     tenth = n // 10
     return DatasetSplit(
         d1=perm[:tenth].copy(),

@@ -197,7 +197,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
     out_dir = out_dir or cfg.output_dir
     # whatever can reject the config or the data runs before the run directory exists
     dataset = load_dataset(cfg)
-    split = partition(dataset, cfg.partition_seed, stratified=True)
+    split = partition(dataset, cfg.partition_seed)
     backbone = backbone_for(cfg, dataset)
     os.makedirs(out_dir, exist_ok=True)
     with _replacing(os.path.join(out_dir, "config_resolved.json")) as tmp:
@@ -219,7 +219,7 @@ def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
     """TPE study over (eta, alpha, t_max); objective is M3 validation accuracy."""
     out_dir = out_dir or cfg.output_dir
     dataset = load_dataset(cfg)
-    split = partition(dataset, cfg.partition_seed, stratified=True)
+    split = partition(dataset, cfg.partition_seed)
     backbone = backbone_for(cfg, dataset)
     os.makedirs(out_dir, exist_ok=True)
     base_train = cfg.train

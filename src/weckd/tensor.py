@@ -18,18 +18,18 @@ of column pairs, then of row pairs, and the tape keeps one first-wins mask
 per pass. The copies feed the same GEMMs in the same order,
 so no result depends on these layouts.
 
-A batch may be recorded as row blocks, one `Tape` each, swept on separate
-threads. A row's forward values and input gradients do not depend on its
-block: conv GEMMs run per image, the other ops are elementwise, and a
-block's dense GEMMs run over the whole batch's row count. Each weight's
-gradient is kept as its per-row terms and summed once over the rows of all
-blocks joined (`Gradients`), so the gradients are one tape's, bit for bit,
-for any split. One tape is the one-block case.
+conv2d and maxpool2 are per-image ops. On a tape they run their forward and
+their VJPs over contiguous image blocks, one per CPU, each block writing its
+images' slice of the batch's arrays; the conv weight gradient's per-image
+products are summed once over the whole batch. No image's values depend on
+its block, so the results are the same bits for any CPU count. Every other op
+runs on the calling thread over the whole batch.
 """
 from __future__ import annotations
 
-from collections.abc import MutableMapping
-from typing import Callable, NamedTuple
+import functools
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -39,7 +39,6 @@ __all__ = [
     "ContractError",
     "NumericError",
     "Tape",
-    "Gradients",
     "conv2d",
     "attention_scores",
     "scale_spatial",
@@ -101,26 +100,24 @@ def _zero_wrapped(cols, H, W):
             grid[:, :, :, j, :, p - j:] = 0
 
 
-def _col2im(dcols, xshape, k):
-    # the adjoint of _im2col: dcols (B, C*k*k, H*W) -> dx (B, C, H, W). The
-    # wrapped entries of dcols are zeroed in place (it is the caller's own
-    # temporary), then each shift's run is added back onto the flat padded
-    # plane in (i, j) order. The extra terms are +0.0 and the accumulator
-    # starts at +0.0, so they change no bits.
-    B, C, H, W = xshape
-    p = k // 2
-    head = p + p * W
-    d = dcols.reshape(B, C, k, k, H * W)
-    _zero_wrapped(d, H, W)
-    dxf = np.zeros((B, C, H * W + 2 * head), dtype=dcols.dtype)
+def _col2im(dcols, dxf, W, k):
+    # the adjoint of _im2col: adds dcols (B, C*k*k, H*W) onto dxf, the B images'
+    # zeroed flat padded planes (B, C, H*W + 2*(p + p*W)) whose middle H*W
+    # entries are dx. The wrapped entries of dcols are zeroed in place (it is
+    # the caller's own temporary), then each shift's run is added back in
+    # (i, j) order. The extra terms are +0.0 and the accumulator starts at
+    # +0.0, so they change no bits.
+    B, C = dxf.shape[:2]
+    HW = dcols.shape[2]
+    d = dcols.reshape(B, C, k, k, HW)
+    _zero_wrapped(d, HW // W, W)
     for i in range(k):
         for j in range(k):
-            dxf[:, :, i * W + j:i * W + j + H * W] += d[:, :, i, j]
-    return dxf[:, :, head:head + H * W].reshape(B, C, H, W)
+            dxf[:, :, i * W + j:i * W + j + HW] += d[:, :, i, j]
 
 
-def _conv2d_forward(x, w, b, stride, pad):
-    """Checked conv2d shared by the pure op and the tape: (out, cols)."""
+def _conv2d_checked(x, w, b, stride, pad):
+    """conv2d's arguments as arrays of x's dtype, once its contract holds."""
     x = np.asarray(x)
     w = np.asarray(w, dtype=x.dtype)
     b = np.asarray(b, dtype=x.dtype)
@@ -139,17 +136,27 @@ def _conv2d_forward(x, w, b, stride, pad):
             f"conv2d supports only stride 1 with same padding (odd k, pad = k // 2), "
             f"got stride={stride}, pad={pad} for a {k}x{k} kernel"
         )
+    return x, w, b
+
+
+def _conv_images(x, w, b, out):
+    """Writes the conv of images x (B, C, H, W) into out (B, F, H*W), one GEMM
+    per image with the (F, C*k*k) kernel matrix; returns x's im2col columns."""
+    F, k = w.shape[0], w.shape[2]
     cols = _im2col(x, k)
-    F = w.shape[0]
-    out = np.matmul(w.reshape(F, -1), cols)
+    np.matmul(w.reshape(F, -1), cols, out=out)
     out += b.reshape(F, 1)
-    return out.reshape(x.shape[0], F, x.shape[2], x.shape[3]), cols
+    return cols
 
 
 def conv2d(x, w, b, stride=1, pad=0):
     """Stride-1 same-padded cross-correlation of x (B,C,H,W) with odd kernels
     w (F,C,k,k) plus bias; `pad` must be k // 2."""
-    return _conv2d_forward(x, w, b, stride, pad)[0]
+    x, w, b = _conv2d_checked(x, w, b, stride, pad)
+    B, _, H, W = x.shape
+    out = np.empty((B, w.shape[0], H * W), dtype=x.dtype)
+    _conv_images(x, w, b, out)
+    return out.reshape(B, -1, H, W)
 
 
 def relu(x):
@@ -236,16 +243,38 @@ class _Node:
         self.name = name  # set only for trainable parameters
 
 
-def _at_rows(fn, a, rows):
-    """fn(a) for a row-wise GEMM `fn`, run over `rows` rows: a's rows and then
-    zeros. BLAS picks its kernel by the row count, and kernels differ in the
-    last bits (OpenBLAS 0.3.31 on AVX-512 takes another kernel for the
-    128 -> 64 head's `g @ w.T` at 2-18 rows than at 19 or more), so a row
-    block's rows get the bits one tape over the whole batch gives them."""
-    pad = (rows or len(a)) - len(a)
-    if pad <= 0:
-        return fn(a)
-    return fn(np.concatenate([a, np.zeros((pad,) + a.shape[1:], a.dtype)]))[:len(a)]
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity masks
+        return os.cpu_count() or 1
+
+
+def _image_blocks(n):
+    """(start, stop) of contiguous blocks covering range(n) in order: one per
+    CPU and none empty, their sizes at most one apart."""
+    k = max(1, min(_cpus(), n))
+    edges = [n * i // k for i in range(k + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+@functools.cache
+def _pool():
+    """The threads that run every image block but the caller's own, started on first use."""
+    return ThreadPoolExecutor(max_workers=max(1, _cpus() - 1), thread_name_prefix="weckd-images")
+
+
+def _on_blocks(fn, blocks):
+    """[fn(*args) for args in blocks]: the last block on this thread, the others on
+    `_pool`. Returns or raises only after every block has finished; a block's
+    exception reaches the caller with its own type."""
+    futures = [_pool().submit(fn, *args) for args in blocks[:-1]]
+    try:
+        last = fn(*blocks[-1])
+    finally:
+        wait(futures)
+    return [f.result() for f in futures] + [last]
 
 
 class Tape:
@@ -253,16 +282,11 @@ class Tape:
 
     Nodes are appended in execution order, so the list itself is the
     topological order; backward walks it once in reverse.
-
-    A tape may record one row block of a batch of `batch_rows` rows. Its
-    dense GEMMs then run over that many rows (see `_at_rows`), and its
-    `Gradients` join with the other blocks' into the whole batch's.
     """
 
-    def __init__(self, batch_rows=None):
+    def __init__(self):
         self._nodes = []
         self._params = {}  # name -> node
-        self.batch_rows = batch_rows
 
     def _add(self, node):
         self._nodes.append(node)
@@ -281,63 +305,83 @@ class Tape:
     # -- recorded ops -------------------------------------------------------
 
     def conv2d(self, x, w, b, stride=1, pad=0):
-        out, cols = _conv2d_forward(x.value, w.value, b.value, stride, pad)
-        xshape, wshape = x.value.shape, w.value.shape
-        w2 = w.value.reshape(wshape[0], -1)
+        xv, wv, bv = _conv2d_checked(x.value, w.value, b.value, stride, pad)
+        (B, C, H, W), (F, _, k, _) = xv.shape, wv.shape
+        blocks = _image_blocks(B)
+        out = np.empty((B, F, H * W), dtype=xv.dtype)
+        cols = _on_blocks(lambda lo, hi: _conv_images(xv[lo:hi], wv, bv, out[lo:hi]), blocks)
+        w2 = wv.reshape(F, -1)
 
         def vjp_x(g):
-            dcols = np.matmul(w2.T, g.reshape(g.shape[0], wshape[0], -1))
-            return _col2im(dcols, xshape, wshape[2])
+            g3 = g.reshape(B, F, -1)
+            head = k // 2 * (1 + W)
+            dxf = np.zeros((B, C, H * W + 2 * head), dtype=g.dtype)
+            _on_blocks(lambda lo, hi: _col2im(np.matmul(w2.T, g3[lo:hi]), dxf[lo:hi], W, k),
+                       blocks)
+            return dxf[:, :, head:head + H * W].reshape(B, C, H, W)
 
         def vjp_w(g):
-            # per-image (F, H*W) @ (H*W, C*k*k), summed over the batch
-            g3 = g.reshape(g.shape[0], wshape[0], -1)
-            return _RowTerms((np.matmul(g3, cols.transpose(0, 2, 1)),),
-                             lambda m: m.sum(axis=0).reshape(wshape))
+            # per-image (F, H*W) @ (H*W, C*k*k), summed once over the batch
+            g3 = g.reshape(B, F, -1)
+            terms = np.empty((B, F, C * k * k), dtype=g.dtype)
+            _on_blocks(lambda lo, hi, c: np.matmul(g3[lo:hi], c.transpose(0, 2, 1),
+                                                   out=terms[lo:hi]),
+                       [block + (c,) for block, c in zip(blocks, cols)])
+            return terms.sum(axis=0).reshape(wv.shape)
 
         def vjp_b(g):
-            return _RowTerms((g,), lambda g: g.sum(axis=(0, 2, 3)))
+            return g.sum(axis=(0, 2, 3))
 
-        return self._add(_Node(out, ((x, vjp_x), (w, vjp_w), (b, vjp_b))))
+        return self._add(_Node(out.reshape(B, F, H, W), ((x, vjp_x), (w, vjp_w), (b, vjp_b))))
 
     def relu(self, x):
         mask = x.value > 0
         return self._add(_Node(x.value * mask, ((x, lambda g: g * mask),)))
 
     def maxpool2(self, x):
-        left, right = _col_pairs(x.value)
-        cols = np.maximum(left, right)
-        top, bottom = _row_pairs(cols)
-        out = np.maximum(top, bottom)
+        xv = x.value
+        B, C, H, W = xv.shape
+        blocks = _image_blocks(B)
+        out = np.empty((B, C, H // 2, W // 2), dtype=xv.dtype)
         # the first of each tied pair wins: with columns paired before rows
         # that is the window's first max in row-major order
-        first_col, first_row = left >= right, top >= bottom
-        shape, dtype = x.value.shape, x.value.dtype
-        odd = shape[2] % 2 or shape[3] % 2
+        first_col = np.empty((B, C, H // 2 * 2, W // 2), dtype=bool)
+        first_row = np.empty(out.shape, dtype=bool)
+
+        def forward(lo, hi):
+            left, right = _col_pairs(xv[lo:hi])
+            np.greater_equal(left, right, out=first_col[lo:hi])
+            top, bottom = _row_pairs(np.maximum(left, right))
+            np.greater_equal(top, bottom, out=first_row[lo:hi])
+            np.maximum(top, bottom, out=out[lo:hi])
+
+        _on_blocks(forward, blocks)
 
         def vjp(g):
-            dx = (np.zeros if odd else np.empty)(shape, dtype=dtype)
-            dleft, dright = _col_pairs(dx)
-            # the right columns first hold the gradient of the column maxima,
-            # then, after the left columns have taken their share, their own
-            dtop, dbottom = _row_pairs(dright)
-            np.multiply(g, first_row, out=dtop)
-            np.multiply(g, ~first_row, out=dbottom)
-            np.multiply(dright, first_col, out=dleft)
-            np.multiply(dright, ~first_col, out=dright)
+            dx = (np.zeros if H % 2 or W % 2 else np.empty)(xv.shape, dtype=xv.dtype)
+
+            def backward(lo, hi):
+                dleft, dright = _col_pairs(dx[lo:hi])
+                # the right columns first hold the gradient of the column maxima,
+                # then, after the left columns have taken their share, their own
+                dtop, dbottom = _row_pairs(dright)
+                np.multiply(g[lo:hi], first_row[lo:hi], out=dtop)
+                np.multiply(g[lo:hi], ~first_row[lo:hi], out=dbottom)
+                np.multiply(dright, first_col[lo:hi], out=dleft)
+                np.multiply(dright, ~first_col[lo:hi], out=dright)
+
+            _on_blocks(backward, blocks)
             return dx
 
         return self._add(_Node(out, ((x, vjp),)))
 
     def dense(self, x, w, b):
-        # the VJPs must not hold the tape: a cycle would keep every step's
-        # arrays alive until the cyclic garbage collector ran
-        xv, wv, rows = x.value, w.value, self.batch_rows
-        out = _at_rows(lambda x: dense(x, wv, b.value), xv, rows)
+        out = dense(x.value, w.value, b.value)
+        xv, wv = x.value, w.value
         return self._add(_Node(out, (
-            (x, lambda g: _at_rows(lambda g: g @ wv.T, g, rows)),
-            (w, lambda g: _RowTerms((xv, g), lambda x, g: x.T @ g)),
-            (b, lambda g: _RowTerms((g,), lambda g: g.sum(axis=0))),
+            (x, lambda g: g @ wv.T),
+            (w, lambda g: xv.T @ g),
+            (b, lambda g: g.sum(axis=0)),
         )))
 
     def gap(self, x):
@@ -359,11 +403,10 @@ class Tape:
             return np.einsum("bhw,c->bchw", g * ds, wv)
 
         def vjp_w(g):
-            return _RowTerms((g * ds, fv),
-                             lambda gs, f: np.einsum("bhw,bchw->c", gs, f).reshape(wshape))
+            return np.einsum("bhw,bchw->c", g * ds, fv).reshape(wshape)
 
         def vjp_b(g):
-            return _RowTerms((g * ds,), lambda gs: np.full(bshape, gs.sum()))
+            return np.full(bshape, (g * ds).sum())
 
         return self._add(_Node(out, ((f, vjp_f), (w, vjp_w), (b, vjp_b))))
 
@@ -379,7 +422,7 @@ class Tape:
     # -- backward -----------------------------------------------------------
 
     def backward(self, root, seed_grad=None):
-        """Reverse sweep from `root`; returns the {param name -> gradient} `Gradients`.
+        """Reverse sweep from `root`; returns {param name -> gradient}.
 
         With seed_grad omitted, `root` must be a scalar loss (seed 1).
         Parameters not reachable from `root` get zero gradients. Constant
@@ -398,85 +441,20 @@ class Tape:
                 f"seed gradient shape {seed_grad.shape} does not match root shape {value.shape}"
             )
         grads = {id(root): seed_grad}
-        terms = {name: [] for name in self._params}  # each parameter's, in sweep order
-        if root.name is not None:
-            terms[root.name].append(seed_grad)
         for node in reversed(self._nodes):
+            if not node.vjps:
+                continue  # a leaf: a parameter keeps its gradient in `grads`
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             for parent, fn in node.vjps:
-                if parent.vjps:  # an op's output: its gradient flows on
-                    contrib = fn(g)
-                    prev = grads.get(id(parent))
-                    grads[id(parent)] = contrib if prev is None else prev + contrib
-                elif parent.name is not None:
-                    terms[parent.name].append(fn(g))
-                # else a constant leaf: nothing reads its gradient
-        return Gradients([{name: (node.value, terms[name]) for name, node in self._params.items()}])
-
-
-class _RowTerms(NamedTuple):
-    """A weight's gradient before its sum over the batch: `reduce(*parts)`, where
-    each part holds one entry per batch row along its first axis."""
-    parts: tuple
-    reduce: Callable
-
-
-def _joined(arrays):
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-class Gradients(MutableMapping):
-    """{param name -> gradient} of the backward sweeps of a batch's row blocks.
-
-    A sweep keeps each weight's gradient as its per-row terms. The sum over the
-    batch runs when the gradient is first read, once over the rows of every
-    block joined in block order, as over one whole batch: the bits do not
-    depend on how the batch was split. One `Tape.backward` is the one-block
-    case. A parameter whose gradient is row-wise (an op's input registered as
-    a parameter) gets the blocks' rows joined.
-    """
-
-    def __init__(self, blocks):
-        self._blocks = blocks  # per block: {name: (value, [gradient terms in sweep order])}
-        self._read = dict.fromkeys(blocks[0])  # name -> gradient, None until read
-
-    @classmethod
-    def join(cls, parts):
-        """The gradients of a batch from the unread `Gradients` of its row blocks, in row order."""
-        return cls([block for part in parts for block in part._blocks])
-
-    def __getitem__(self, name):
-        g = self._read[name]
-        if g is None:
-            g = self._read[name] = self._reduce(name)
-        return g
-
-    def __setitem__(self, name, value):
-        self._read[name] = value
-
-    def __delitem__(self, name):
-        del self._read[name]
-
-    def __iter__(self):
-        return iter(self._read)
-
-    def __len__(self):
-        return len(self._read)
-
-    def _reduce(self, name):
-        values, terms = zip(*(block[name] for block in self._blocks))
-        if not terms[0]:  # not reachable from the root
-            return np.zeros_like(values[0])
-        total = None
-        for term in zip(*terms):  # one VJP's term from every block
-            if isinstance(term[0], _RowTerms):
-                g = term[0].reduce(*(_joined(p) for p in zip(*(t.parts for t in term))))
-            else:
-                g = _joined(term)
-            total = g if total is None else total + g
-        return total
+                if parent.name is None and not parent.vjps:
+                    continue  # a constant leaf: nothing reads its gradient
+                contrib = fn(g)
+                prev = grads.get(id(parent))
+                grads[id(parent)] = contrib if prev is None else prev + contrib
+        return {name: grads[id(node)] if id(node) in grads else np.zeros_like(node.value)
+                for name, node in self._params.items()}
 
 
 # ---------------------------------------------------------------------------

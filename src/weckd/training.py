@@ -2,14 +2,11 @@
 frozen teachers, LR plateau decay, early stopping, checkpointing, timing capture."""
 from __future__ import annotations
 
-import functools
 import json
 import math
 import numbers
-import os
 import struct
 import time
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -91,7 +88,7 @@ class StageResult:
     best_epoch: int               # the epoch whose parameters `model` holds
     steps_per_epoch: int
     ms_per_step: float
-    row_blocks: int               # row blocks per full batch: one per CPU, none under 2 rows
+    row_blocks: int               # conv and pool image blocks per full batch: one per CPU
 
 
 @dataclass
@@ -158,62 +155,10 @@ def _epoch_order(cfg, stage_index, epoch, n):
     return np.random.default_rng(seed).permutation(n)
 
 
-def _cpus():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without affinity masks
-        return os.cpu_count() or 1
-
-
-def _row_blocks(n, cpus):
-    """(start, stop) of contiguous row blocks covering range(n) in order: one per
-    CPU and none under 2 rows, their sizes at most one row apart."""
-    k = max(1, min(cpus, n // 2))
-    edges = [n * i // k for i in range(k + 1)]
-    return list(zip(edges[:-1], edges[1:]))
-
-
-@functools.cache
-def _pool():
-    """The threads that run every row block but the caller's own, started on first use."""
-    return ThreadPoolExecutor(max_workers=max(1, _cpus() - 1), thread_name_prefix="weckd-rows")
-
-
-def _on_blocks(fn, blocks):
-    """[fn(*args) for args in blocks]: the last block on this thread, the others on
-    `_pool`. Returns or raises only after every block has finished; a block's
-    exception reaches the caller with its own type."""
-    futures = [_pool().submit(fn, *args) for args in blocks[:-1]]
-    try:
-        last = fn(*blocks[-1])
-    finally:
-        wait(futures)
-    return [f.result() for f in futures] + [last]
-
-
-def _taped_step(model, x, cpus, loss_grad):
-    """One training step's forward and backward over the row blocks of batch `x`.
-
-    Each block's forward is recorded on its own Tape, the logits are joined for
-    `loss_grad(z) -> (loss, dz)`, and each block's backward takes its rows of
-    dz. Returns (z, loss, grads); the gradients are those of one Tape over the
-    whole batch, bit for bit (see `tensor.Gradients`).
-    """
-    blocks = [(T.Tape(batch_rows=len(x)), lo, hi) for lo, hi in _row_blocks(len(x), cpus)]
-    outs = _on_blocks(lambda tape, lo, hi: forward_on_tape(model, tape, x[lo:hi]), blocks)
-    z = np.concatenate([out.value for out in outs])
-    loss, dz = loss_grad(z)
-    grads = _on_blocks(lambda tape, out, lo, hi: tape.backward(out, dz[lo:hi]),
-                       [(tape, out, lo, hi) for (tape, lo, hi), out in zip(blocks, outs)])
-    return z, loss, T.Gradients.join(grads)
-
-
 def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
     """The one stage trainer: `model` learns from `subset` less its validation carve
     and keeps the parameters of the epoch `scheduler_step` names. Without a teacher
     it runs the hybrid objective at alpha = 1 against its own logits: KL = 0, plain CE.
-    Each batch runs as one row block per CPU (`_taped_step`).
     """
     train_idx, val_idx = _carve_validation(subset)
     params = model.params  # sgd_step returns new arrays and never writes its inputs
@@ -225,7 +170,6 @@ def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
     curves = []
     step_times = []
     steps_per_epoch = int(np.ceil(train_idx.size / cfg.batch_size))
-    cpus = _cpus()
 
     alpha, teacher_z = 1.0, None
     if teacher is not None:
@@ -244,18 +188,18 @@ def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
             idx = train_idx[rows]
             x, y = dataset.images[idx], dataset.labels[idx]
 
-            def loss_grad(z):
-                zt = z if teacher_z is None else teacher_z[rows]
-                loss, _, _ = hybrid_loss(z, zt, y, alpha, temp, t_squared_compensation=tsc)
-                dz = hybrid_loss_grad(z, zt, y, alpha, temp, t_squared_compensation=tsc)
-                if not np.isfinite(loss):
-                    raise NumericError(
-                        f"non-finite loss at stage {stage_index}, epoch {epoch}, batch {bi}"
-                    )
-                return loss, dz
-
             t0 = time.perf_counter()
-            z, loss, grads = _taped_step(Model(model.config, params), x, cpus, loss_grad)
+            tape = T.Tape()
+            logits_node = forward_on_tape(Model(model.config, params), tape, x)
+            z = logits_node.value
+            zt = z if teacher_z is None else teacher_z[rows]
+            loss, _, _ = hybrid_loss(z, zt, y, alpha, temp, t_squared_compensation=tsc)
+            dz = hybrid_loss_grad(z, zt, y, alpha, temp, t_squared_compensation=tsc)
+            if not np.isfinite(loss):
+                raise NumericError(
+                    f"non-finite loss at stage {stage_index}, epoch {epoch}, batch {bi}"
+                )
+            grads = tape.backward(logits_node, dz)
             params, velocity = T.sgd_step(params, grads, lr, cfg.momentum, velocity)
             step_times.append(time.perf_counter() - t0)
             epoch_loss += loss * y.size
@@ -283,7 +227,7 @@ def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
         best_epoch=best_epoch,
         steps_per_epoch=steps_per_epoch,
         ms_per_step=float(np.mean(step_times) * 1000.0),
-        row_blocks=len(_row_blocks(cfg.batch_size, cpus)),
+        row_blocks=len(T._image_blocks(cfg.batch_size)),
     )
 
 

@@ -56,8 +56,7 @@ N_SEEDS = 5
 @pytest.fixture(scope="session")
 def protocol():
     dataset = generate_synthetic(1000, 4, (32, 32), 0.15, seed=0)
-    # the experiment driver partitions stratified by default; mirror it here
-    split = partition(dataset, 0, stratified=True)
+    split = partition(dataset, 0)
     chains, scores, singles = [], [], []
     t0 = time.perf_counter()
     for seed in range(N_SEEDS):

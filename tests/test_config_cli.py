@@ -280,15 +280,15 @@ def test_out_of_memory_is_runtime_error_naming_it(tmp_path, capsys, monkeypatch)
                                          (weckd.tensor.NumericError, 1), (MemoryError, 1)])
 def test_an_error_in_a_worker_row_block_keeps_its_exit_code(tmp_path, capsys, monkeypatch,
                                                              error, code):
-    real = weckd.training.forward_on_tape
+    real = weckd.tensor._im2col
 
     def failing_on_a_worker(*args):
         if threading.current_thread() is not threading.main_thread():
             raise error("raised in a worker block")
         return real(*args)
 
-    monkeypatch.setattr(weckd.training, "_cpus", lambda: 2)  # two blocks: one on the pool
-    monkeypatch.setattr(weckd.training, "forward_on_tape", failing_on_a_worker)
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 2)  # two image blocks: one on the pool
+    monkeypatch.setattr(weckd.tensor, "_im2col", failing_on_a_worker)
     out_dir = tmp_path / "run"
     assert main(["train", "--config", write_config(tmp_path, TINY_EXPERIMENT),
                  "--out-dir", str(out_dir)]) == code
@@ -419,7 +419,7 @@ def test_eval_on_the_test_split_reproduces_metrics_json(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 0
     ds = load_idx(images, labels)
-    test = partition(ds, 0, stratified=True).d_test
+    test = partition(ds, 0).d_test
     test_images, test_labels = str(tmp_path / "test-images.idx"), str(tmp_path / "test-labels.idx")
     write_idx(LabeledDataset(ds.images[test], ds.labels[test], ds.class_names, ds.num_classes),
               test_images, test_labels)

@@ -180,17 +180,16 @@ def test_partition_deterministic():
 
 def test_partition_stratified_balances_slices():
     ds = generate_synthetic(400, 4, (8, 8), 0.0, seed=0)
-    split = partition(ds, 0, stratified=True)
+    split = partition(ds, 0)
     for subset in (split.d1, split.d2, split.d3):
         counts = np.bincount(ds.labels[subset], minlength=4)
         assert counts.max() - counts.min() <= 1
 
 
-@pytest.mark.parametrize("stratified", [False, True])
-def test_partition_with_an_empty_class_is_disjoint_and_complete(stratified):
+def test_partition_with_an_empty_class_is_disjoint_and_complete():
     ds = generate_synthetic(60, 2, (8, 8), 0.0, seed=0)
     ds = LabeledDataset(ds.images, ds.labels * 2, ["a", "b", "c"], 3)  # no class 1
-    split = partition(ds, 0, stratified=stratified)
+    split = partition(ds, 0)
     merged = np.concatenate([split.d1, split.d2, split.d3, split.d_test])
     np.testing.assert_array_equal(np.sort(merged), np.arange(60))
     assert [len(split.d1), len(split.d2), len(split.d3)] == [6, 6, 6]

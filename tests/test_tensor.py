@@ -9,7 +9,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from weckd.tensor import (
     ContractError,
-    Gradients,
     NumericError,
     ShapeError,
     Tape,
@@ -177,36 +176,14 @@ def test_a_tape_is_freed_by_reference_counting():
                          num_classes=3, attention_enabled=True)
     gc.disable()
     try:
-        tape = Tape(batch_rows=4)
+        tape = Tape()
         logits = forward_on_tape(build_model(cfg), tape, np.ones((2, 1, 8, 8)))
         grads = tape.backward(logits, np.ones((2, 3)))
-        [grads[name] for name in grads]
         alive = weakref.ref(tape)
         del tape, logits, grads
         assert alive() is None
     finally:
         gc.enable()
-
-
-def test_joined_row_blocks_give_one_tapes_gradients():
-    # w and b are used twice, so each gets two terms; x, an input registered
-    # as a parameter, gets its rows joined in block order
-    rng = np.random.default_rng(5)
-    x, w, b = rng.normal(size=(12, 4)), rng.normal(size=(4, 4)), rng.normal(size=4)
-    g = rng.normal(size=(12, 4))
-
-    def sweep(lo, hi):
-        tape = Tape()
-        wn, bn, xn = tape.param("w", w), tape.param("b", b), tape.param("x", x[lo:hi])
-        tape.param("unused", np.ones(3))
-        return tape.backward(tape.dense(tape.relu(tape.dense(xn, wn, bn)), wn, bn), g[lo:hi])
-
-    one = sweep(0, 12)
-    for edges in ([0, 6, 12], [0, 3, 7, 12]):
-        joined = Gradients.join([sweep(lo, hi) for lo, hi in zip(edges, edges[1:])])
-        assert list(joined) == ["w", "b", "x", "unused"]
-        for name in joined:
-            assert np.array_equal(joined[name], one[name]), name
 
 
 def test_sgd_step_plain():
@@ -379,7 +356,10 @@ def test_col2im_equals_naive_scatter_add(k, dtype):
         for i in range(k):
             for j in range(k):
                 want[:, :, i:i + H, j:j + W] += patches[:, :, i, j]
-        dx = _col2im(d, (2, 3, H, W), k)
+        head = p + p * W
+        dxf = np.zeros((2, 3, H * W + 2 * head), dtype=dtype)
+        _col2im(d, dxf, W, k)
+        dx = dxf[:, :, head:head + H * W].reshape(2, 3, H, W)
         assert dx.dtype == dtype and np.array_equal(dx, want[:, :, p:p + H, p:p + W])
 
 
@@ -431,6 +411,7 @@ def test_maxpool_first_max_wins_on_every_tie_pattern():
 
 def test_backward_never_calls_a_constant_leafs_vjp(monkeypatch):
     import weckd.tensor
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 1)  # one image block per conv
     cfg = BackboneConfig(input_size=(8, 8, 1), conv_blocks=(2, 3, 4), fc_width=4,
                          num_classes=3, attention_enabled=True)
     model = build_model(cfg)

@@ -213,54 +213,39 @@ def test_step_time_recorded():
     ds, split = tiny_setup()
     res = train_stage1(build_model(TINY_BB), split.d1, ds, fast_cfg())
     assert res.ms_per_step > 0
-    assert res.row_blocks == len(weckd.training._row_blocks(8, weckd.training._cpus()))
+    assert res.row_blocks == min(8, weckd.tensor._cpus())
 
 
-# -- row blocks ----------------------------------------------------------------
+# -- image blocks --------------------------------------------------------------
 
 @pytest.mark.parametrize("attention", [False, True])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-def test_row_block_gradients_equal_one_tapes_bit_for_bit(attention, dtype):
-    # the default network, so every GEMM has the shapes training gives it; from
-    # 19 rows up its head's `g @ w.T` takes another BLAS kernel than below, and
-    # B = 20 and 32 in 2 blocks and B = 64 in 4 cross that line
+def test_a_training_steps_bits_do_not_depend_on_the_cpu_count(attention, dtype, monkeypatch):
+    # the default network, so every GEMM has the shapes training gives it;
+    # conv and pool split their images into one block per CPU
     from weckd.backbone import Model, forward_on_tape
     cfg = BackboneConfig(input_size=(32, 32, 1), num_classes=4, attention_enabled=attention)
     model = build_model(cfg)
     model = Model(cfg, {k: v.astype(dtype) for k, v in model.params.items()})
     rng = np.random.default_rng(1)
-    for batch in (2, 3, 5, 16, 20, 32, 64):
-        x = rng.random((batch, 1, 32, 32)).astype(dtype)
-        y = rng.integers(0, 4, batch)
+
+    def step(x, y, cpus):
+        monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
         tape = Tape()
         out = forward_on_tape(model, tape, x)
-        dz = hybrid_loss_grad(out.value, out.value, y, 1.0, 1.0).astype(dtype)
-        one = tape.backward(out, dz)
-        for cpus in (1, 2, 3, 4):
-            seen = []
+        return out.value, tape.backward(out, hybrid_loss_grad(out.value, out.value, y, 1.0, 1.0))
 
-            def loss_grad(z):
-                seen.append(z)
-                return 0.5, dz
-
-            z, loss, grads = weckd.training._taped_step(model, x, cpus, loss_grad)
-            assert loss == 0.5 and len(seen) == 1 and seen[0] is z
-            np.testing.assert_array_equal(z, out.value)
-            assert set(grads) == set(one)
+    for batch in (1, 2, 3, 5, 16, 20, 32, 33, 64):
+        x = rng.random((batch, 1, 32, 32)).astype(dtype)
+        y = rng.integers(0, 4, batch)
+        z1, one = step(x, y, 1)
+        for cpus in (2, 3, 4):
+            z, grads = step(x, y, cpus)
+            assert z.dtype == dtype and np.array_equal(z, z1), (batch, cpus)
+            assert list(grads) == list(one)
             for name in one:
                 assert grads[name].dtype == one[name].dtype, (batch, cpus, name)
                 assert np.array_equal(grads[name], one[name]), (batch, cpus, name)
-
-
-def test_row_blocks_cover_the_batch_in_order_and_none_has_under_two_rows():
-    for n in range(1, 70):
-        for cpus in range(1, 10):
-            blocks = weckd.training._row_blocks(n, cpus)
-            assert blocks[0][0] == 0 and blocks[-1][1] == n
-            assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-            assert len(blocks) == max(1, min(cpus, n // 2))
-            if n >= 2:
-                assert min(hi - lo for lo, hi in blocks) >= 2
 
 
 @pytest.mark.parametrize("error", [ShapeError, NumericError, MemoryError])
@@ -276,9 +261,9 @@ def test_a_worker_blocks_exception_reaches_the_caller_after_every_block(error):
         return i
 
     with pytest.raises(error, match="block 0"):
-        weckd.training._on_blocks(block, [(0,), (1,), (2,)])
+        weckd.tensor._on_blocks(block, [(0,), (1,), (2,)])
     assert sorted(finished) == [1, 2]
-    assert weckd.training._on_blocks(lambda i: i * i, [(1,), (2,), (3,)]) == [1, 4, 9]
+    assert weckd.tensor._on_blocks(lambda i: i * i, [(1,), (2,), (3,)]) == [1, 4, 9]
 
 
 # -- chain -------------------------------------------------------------------
@@ -444,7 +429,7 @@ def test_run_experiment_scores_each_test_image_once_per_model(tmp_path, monkeypa
     }))
     cfg = parse_config(str(path))
     ds = generate_synthetic(90, 3, (12, 12), 0.1, seed=0)
-    split = partition(ds, cfg.partition_seed, stratified=True)
+    split = partition(ds, cfg.partition_seed)
     seen = _count_forward_images(monkeypatch)
     run_experiment(cfg, out_dir=str(tmp_path / "run"))
     assert [seen[ds.images[i].tobytes()] for i in split.d_test] == [3] * split.d_test.size
@@ -581,7 +566,7 @@ def test_metrics_json_is_the_score_of_the_saved_checkpoints(tmp_path):
     run_experiment(cfg, out_dir=str(out))
     progression = json.loads((out / "metrics.json").read_text())["progression"]
     ds = load_dataset(cfg)
-    split = partition(ds, cfg.partition_seed, stratified=True)
+    split = partition(ds, cfg.partition_seed)
     truths = ds.labels[split.d_test]
     chain = run_chain(ds, split, replace(cfg.train, seed=0), backbone_for(cfg, ds))
     for i, (row, result) in enumerate(zip(progression, chain.stage_results)):
