@@ -186,13 +186,21 @@ def test_partition_stratified_balances_slices():
         assert counts.max() - counts.min() <= 1
 
 
-def test_partition_with_an_empty_class_is_disjoint_and_complete():
+# stratified=True is what the CLI and the benchmark harness pass
+@pytest.mark.parametrize("stratified", [True])
+def test_partition_with_an_empty_class_is_disjoint_and_complete(stratified):
     ds = generate_synthetic(60, 2, (8, 8), 0.0, seed=0)
     ds = LabeledDataset(ds.images, ds.labels * 2, ["a", "b", "c"], 3)  # no class 1
-    split = partition(ds, 0)
+    split = partition(ds, 0, stratified=stratified)
     merged = np.concatenate([split.d1, split.d2, split.d3, split.d_test])
     np.testing.assert_array_equal(np.sort(merged), np.arange(60))
     assert [len(split.d1), len(split.d2), len(split.d3)] == [6, 6, 6]
+
+
+def test_partition_rejects_unstratified():
+    ds = generate_synthetic(20, 2, (8, 8), 0.0, seed=0)
+    with pytest.raises(ContractError, match="always stratified"):
+        partition(ds, 0, stratified=False)
 
 
 def test_partition_minimum_size():
