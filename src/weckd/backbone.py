@@ -104,15 +104,15 @@ def build_model(config: BackboneConfig) -> Model:
 
 
 def _as_batch(model, batch):
-    # the params' dtype is the compute dtype: float64 from build_model,
-    # float32 from a checkpoint
-    batch = np.asarray(batch, dtype=np.result_type(*model.params.values()))
+    """`batch` as an array checked against the configured input, and the compute
+    dtype: the params', float64 from build_model, float32 from a checkpoint."""
+    batch = np.asarray(batch)
     h, w, c = model.config.input_size
     if batch.ndim != 4 or batch.shape[1:] != (c, h, w):
         raise ShapeError(
             f"batch shape {batch.shape} does not match configured input ({c},{h},{w})"
         )
-    return batch
+    return batch, np.result_type(*model.params.values())
 
 
 def _layers(ops, p, x, config):
@@ -156,11 +156,12 @@ def _tile_rows(config, dtype):
 def forward(model, batch):
     """Inference pass; returns the logits.
 
-    The batch runs in even row tiles of at most `_tile_rows` rows. A row's
-    logits are the same bits in any tile of 2 rows or more."""
-    x = _as_batch(model, batch)
-    tiles = -(-len(x) // _tile_rows(model.config, x.dtype))
-    return np.concatenate([_layers(T, model.params, tile, model.config)
+    The batch runs in even row tiles of at most `_tile_rows` rows, each cast on
+    its own to the compute dtype. A row's logits are the same bits in any tile
+    of 2 rows or more."""
+    x, dtype = _as_batch(model, batch)
+    tiles = -(-len(x) // _tile_rows(model.config, dtype))
+    return np.concatenate([_layers(T, model.params, tile.astype(dtype, copy=False), model.config)
                            for tile in np.array_split(x, max(1, tiles))])
 
 
@@ -170,9 +171,9 @@ def forward_on_tape(model, tape, batch):
     Every parameter is registered on the tape under its model key, so an
     unused attention gate gets a zero gradient.
     """
-    batch = _as_batch(model, batch)
+    batch, dtype = _as_batch(model, batch)
     nodes = {k: tape.param(k, v) for k, v in model.params.items()}
-    return _layers(tape, nodes, tape.const(batch), model.config)
+    return _layers(tape, nodes, tape.const(batch.astype(dtype, copy=False)), model.config)
 
 
 def param_digest(model: Model) -> str:

@@ -121,6 +121,8 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"$.dataset.synthetic.classes must be in [2, 8], got {synthetic['classes']}")
     if synthetic and synthetic["n"] < 10 * synthetic["classes"]:
         raise ConfigError(f"$.dataset.synthetic.n must be >= 10 * classes, got {synthetic['n']}")
+    if synthetic and synthetic["noise_std"] < 0:
+        raise ConfigError(f"$.dataset.synthetic.noise_std must be >= 0, got {synthetic['noise_std']}")
     n_trials = cfg["hyperopt"]["n_trials"]
     if n_trials < 1:
         raise ConfigError(f"$.hyperopt.n_trials must be >= 1, got {n_trials}")

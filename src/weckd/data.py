@@ -173,6 +173,8 @@ def generate_synthetic(n, num_classes, size=(32, 32), noise_std=0.1, seed=0) -> 
         raise ContractError(f"num_classes must be in [2,8], got {num_classes}")
     if n < 10 * num_classes:
         raise ContractError(f"need n >= {10 * num_classes} for {num_classes} classes, got {n}")
+    if not noise_std >= 0:  # NaN too
+        raise ContractError(f"noise_std must be >= 0, got {noise_std}")
     h, w = size
     rng = np.random.default_rng(seed)
     # balanced labels (+/-1), then a seeded shuffle

@@ -38,8 +38,9 @@ def load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
                                   s["noise_std"], s["seed"])
     images, labels = cfg.dataset["idx"]["images"], cfg.dataset["idx"]["labels"]
     dataset = load_idx(images, labels)
-    if len(dataset) < 10:  # the fewest that `partition` splits
-        raise ContractError(f"{images} holds {len(dataset)} images; training needs at least 10")
+    if len(dataset) < 20:
+        raise ContractError(f"{images} holds {len(dataset)} images; training needs at least 20, "
+                            "so that each 10% subset has one image to train on and one to validate")
     if dataset.num_classes < 2:  # load_idx takes K from the largest label
         raise ContractError(f"{labels}: every label is 0; training needs 2 classes")
     return dataset

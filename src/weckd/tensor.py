@@ -421,20 +421,14 @@ class Tape:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, root, seed_grad=None):
-        """Reverse sweep from `root`; returns {param name -> gradient}.
+    def backward(self, root, seed_grad):
+        """Reverse sweep from `root` seeded with `seed_grad`, the gradient of the
+        loss at `root`; returns {param name -> gradient}.
 
-        With seed_grad omitted, `root` must be a scalar loss (seed 1).
         Parameters not reachable from `root` get zero gradients. Constant
         leaves (`const`) get none: their VJPs are never run.
         """
         value = np.asarray(root.value)
-        if seed_grad is None:
-            if value.size != 1:
-                raise ContractError(
-                    f"backward without a seed requires a scalar root, got shape {value.shape}"
-                )
-            seed_grad = np.ones_like(value)
         seed_grad = np.asarray(seed_grad, dtype=value.dtype)
         if seed_grad.shape != value.shape:
             raise ShapeError(

@@ -97,20 +97,24 @@ class ChainResult:
     teacher_digests: list         # per distill stage: (digest before, digest after)
 
 
-def _logits(model, dataset, indices, batch_size):
-    """`forward` over `indices` in batches of `batch_size`, stacked."""
-    return np.concatenate([forward(model, x) for x, _ in make_batches(dataset, indices, batch_size)])
+def _logits(model, dataset, indices):
+    """`forward` over `indices`, gathered once: `forward`'s row tiles are the
+    only chunking, so a row's logits do not depend on the rows beside it."""
+    x, _ = make_batches(dataset, indices, len(indices))[0]
+    return forward(model, x)
 
 
-def evaluate(model, dataset, indices, batch_size=256):
-    """Mean CE loss and accuracy over `indices` (pure inference)."""
-    logits = _logits(model, dataset, indices, batch_size)
+def evaluate(model, dataset, indices, batch_size=None):
+    """Mean CE loss and accuracy over `indices` (pure inference). The pass is
+    one `forward` call unless `batch_size` splits it."""
+    batches = make_batches(dataset, indices, batch_size or len(indices))
+    logits = np.concatenate([forward(model, x) for x, _ in batches])
     return loss_accuracy(logits, dataset.labels[np.asarray(indices)])
 
 
-def logits_of(model, dataset, indices, batch_size=256):
-    """Stacked inference logits over `indices`, one `forward` per batch of `batch_size`."""
-    return _logits(model, dataset, indices, batch_size)
+def logits_of(model, dataset, indices):
+    """Stacked inference logits over `indices`, one `forward` call."""
+    return _logits(model, dataset, indices)
 
 
 def loss_accuracy(logits, labels):
@@ -155,10 +159,12 @@ def _epoch_order(cfg, stage_index, epoch, n):
     return np.random.default_rng(seed).permutation(n)
 
 
-def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
+def _train_loop(model, subset, dataset, cfg, stage_index, teacher_z=None):
     """The one stage trainer: `model` learns from `subset` less its validation carve
-    and keeps the parameters of the epoch `scheduler_step` names. Without a teacher
-    it runs the hybrid objective at alpha = 1 against its own logits: KL = 0, plain CE.
+    and keeps the parameters of the epoch `scheduler_step` names. It learns from a
+    teacher only through `teacher_z`, the teacher's logits over the rows left after
+    the carve; without them it runs the hybrid objective at alpha = 1 against its
+    own logits: KL = 0, plain CE.
     """
     train_idx, val_idx = _carve_validation(subset)
     params = model.params  # sgd_step returns new arrays and never writes its inputs
@@ -170,13 +176,7 @@ def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
     curves = []
     step_times = []
     steps_per_epoch = int(np.ceil(train_idx.size / cfg.batch_size))
-
-    alpha, teacher_z = 1.0, None
-    if teacher is not None:
-        alpha, teacher_digest = dp.alpha, param_digest(teacher)
-        # the teacher is frozen and training has no augmentation, so every
-        # epoch would see these logits; chunks of 256 bound the memory
-        teacher_z = _logits(teacher, dataset, train_idx, 256)
+    alpha = 1.0 if teacher_z is None else dp.alpha
 
     for epoch in range(cfg.max_epochs):
         temp = anneal_temperature(epoch, cfg.max_epochs, dp.t_max, dp.t_min)
@@ -218,9 +218,6 @@ def _train_loop(model, subset, dataset, cfg, stage_index, teacher=None):
         if stop:
             break
 
-    if teacher is not None and param_digest(teacher) != teacher_digest:
-        raise RuntimeError("teacher parameters changed during distillation (freeze violated)")
-
     return StageResult(
         model=Model(model.config, best_params),
         epoch_curves=curves,
@@ -238,14 +235,16 @@ def train_stage1(model, d1_indices, dataset, cfg: TrainConfig) -> StageResult:
 
 def train_distill_stage(student, teacher, d_indices, dataset, cfg: TrainConfig,
                         stage_index) -> StageResult:
-    """Hybrid CE+KL training of a student against its frozen predecessor."""
+    """Hybrid CE+KL training of a student against its predecessor's logits over the
+    student's training rows, scored once: every epoch would see the same ones."""
     if teacher.num_classes != student.num_classes:
         raise ContractError(
             f"chain composition error: teacher has {teacher.num_classes} classes, "
             f"student has {student.num_classes}"
         )
+    teacher_z = _logits(teacher, dataset, _carve_validation(d_indices)[0])
     return _train_loop(student, d_indices, dataset, cfg, stage_index=stage_index,
-                       teacher=teacher)
+                       teacher_z=teacher_z)
 
 
 def train_single_baseline(dataset, split, cfg: TrainConfig,

@@ -122,6 +122,13 @@ def test_gen_data_too_many_classes_is_usage_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_gen_data_negative_noise_is_usage_error(tmp_path, capsys):
+    out = str(tmp_path / "x")
+    assert main(["gen-data", "--out", out, "--noise", "-0.5"]) == 2
+    assert "noise_std" in capsys.readouterr().err
+    assert not os.path.exists(out + "-images.idx")
+
+
 def test_train_writes_run_artifacts(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY_EXPERIMENT)
     out_dir = str(tmp_path / "run")
@@ -159,17 +166,22 @@ def test_one_class_idx_labels_are_usage_error_naming_the_labels_file(tmp_path, c
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("n", [0, 5])
+# below 20 images some 10% subset has no image left to train on after its
+# validation carve
+@pytest.mark.parametrize("n", [0, 5, 10, 19])
 def test_too_few_idx_images_is_usage_error_naming_the_images_file(tmp_path, capsys, n):
     ds = generate_synthetic(60, 2, (12, 12), 0.1, seed=0)
     images, labels = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
     write_idx(LabeledDataset(ds.images[:n], ds.labels[:n], ["a", "b"], 2), images, labels)
     doc = dict(TINY_EXPERIMENT, dataset={"idx": {"images": images, "labels": labels}})
     out_dir = tmp_path / "run"
-    assert main(["train", "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2
-    err = capsys.readouterr().err
-    assert f"{images} holds {n} images" in err and "partition" not in err
-    assert not out_dir.exists()
+    for command in ("train", "tune"):
+        assert main([command, "--config", write_config(tmp_path, doc),
+                     "--out-dir", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{images} holds {n} images" in err and "partition" not in err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
 
 def test_config_resolved_lists_the_resolved_backbone(tmp_path, capsys):
@@ -217,6 +229,7 @@ BAD_DOCUMENTS = [
     ({"output_dir": 5}, "$.output_dir"),
     ({"train": {"momentum": 1.0}}, "$.train.momentum"),
     ({"train": {"momentum": -0.1}}, "$.train.momentum"),
+    ({"dataset": {"synthetic": {"noise_std": -0.5}}}, "$.dataset.synthetic.noise_std"),
 ]
 
 

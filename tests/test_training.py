@@ -353,6 +353,15 @@ def test_logits_loss_matches_evaluate_bit_for_bit():
     assert loss_accuracy(logits_of(model, ds, idx), ds.labels) == evaluate(model, ds, idx)
 
 
+def test_a_rows_logits_do_not_depend_on_how_its_pass_is_split():
+    ds = generate_synthetic(300, 3, (12, 12), 0.1, seed=2)
+    model = build_model(TINY_BB)
+    idx = np.arange(257)  # a 256-row chunking would score the last row alone
+    whole = logits_of(model, ds, idx)
+    for part in (idx[-2:], idx[:255], idx[100:], idx[::2]):
+        np.testing.assert_array_equal(logits_of(model, ds, part), whole[part])
+
+
 def test_epoch_order_is_a_seeded_permutation():
     cfg = fast_cfg(seed=4)
     order = weckd.training._epoch_order(cfg, 1, 0, 10)
@@ -384,10 +393,10 @@ def test_teacher_scores_each_training_image_once_per_stage(monkeypatch):
 
 
 def test_forward_logits_do_not_depend_on_the_batch_size():
-    # the teacher's logits are scored once per stage in chunks of 256 and
-    # then indexed per training batch, and `forward` splits any batch into
-    # tiles; this holds only if a row's logits are the same bits whatever
-    # batch or tile it is scored in
+    # the teacher's logits are scored once per stage and then indexed per
+    # training batch, and `forward` splits any batch into tiles; this holds
+    # only if a row's logits are the same bits whatever batch or tile it is
+    # scored in
     from weckd.backbone import Model, _layers, _tile_rows, forward
     x = np.random.default_rng(0).random((300, 1, 32, 32))
     for attention in (False, True):
