@@ -7,11 +7,11 @@ and TPE hyperparameter search.
 """
 import os
 
-# A training step's conv and pool ops run their images in blocks, one per CPU
-# on its own thread, so BLAS gets one thread per call: kernel threads of its own
-# would compete with the blocks for the same cores. This holds only when numpy
-# is first imported after this line; a variable already set in the environment
-# is kept.
+# A training step's conv and pool ops run their images in blocks, and an
+# inference pass its row tiles, one block per CPU on its own thread, so BLAS
+# gets one thread per call: kernel threads of its own would compete with the
+# blocks for the same cores. This holds only when numpy is first imported after
+# this line; a variable already set in the environment is kept.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 

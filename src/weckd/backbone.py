@@ -136,9 +136,11 @@ def _layers(ops, p, x, config):
 # the conv output) fits in this many bytes: well under glibc's 32 MiB mmap
 # ceiling, so no conv call maps and faults in fresh pages, and a tile's columns
 # stay close to the per-core L2 (2, 4 and 8 MiB measured alike; 16 was slower).
+# A pass's tiles run on every CPU at once, each in its own core's L2.
 # With the contiguous-run im2col, 10 alternating `eval` pairs each (2-core VM,
-# 12 s runs) gave median op_s 0.758 s at 4 MiB vs 0.778 s here (4 MiB won 7/10)
-# and 0.806 s at 16 MiB vs 0.794 s (16 MiB won 4/10): no clear winner.
+# 12 s runs, tiles on one thread) gave median op_s 0.758 s at 4 MiB vs 0.778 s
+# here (4 MiB won 7/10) and 0.806 s at 16 MiB vs 0.794 s (16 MiB won 4/10): no
+# clear winner.
 TILE_BYTES = 8 << 20
 
 
@@ -157,12 +159,24 @@ def forward(model, batch):
     """Inference pass; returns the logits.
 
     The batch runs in even row tiles of at most `_tile_rows` rows, each cast on
-    its own to the compute dtype. A row's logits are the same bits in any tile
-    of 2 rows or more."""
+    its own to the compute dtype. The tile count is raised to a multiple of the
+    CPU count, as far as every tile keeps 2 rows, and each CPU runs the whole
+    network over one contiguous run of tiles. A row's logits are the same bits
+    in any tile of 2 rows or more, so they do not depend on the CPU count.
+
+    The runs go to `tensor`'s image-block pool, so this must not be called
+    from one of that pool's threads: a nested wait could deadlock it."""
     x, dtype = _as_batch(model, batch)
     tiles = -(-len(x) // _tile_rows(model.config, dtype))
-    return np.concatenate([_layers(T, model.params, tile.astype(dtype, copy=False), model.config)
-                           for tile in np.array_split(x, max(1, tiles))])
+    cpus = T._cpus()
+    tiles = max(1, tiles, min(-(-tiles // cpus) * cpus, len(x) // 2))
+    parts = np.array_split(x, tiles)
+
+    def run(lo, hi):
+        return [_layers(T, model.params, tile.astype(dtype, copy=False), model.config)
+                for tile in parts[lo:hi]]
+
+    return np.concatenate([z for zs in T._on_blocks(run, T._image_blocks(tiles)) for z in zs])
 
 
 def forward_on_tape(model, tape, batch):

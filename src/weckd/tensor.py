@@ -22,8 +22,10 @@ conv2d and maxpool2 are per-image ops. On a tape they run their forward and
 their VJPs over contiguous image blocks, one per CPU, each block writing its
 images' slice of the batch's arrays; the conv weight gradient's per-image
 products are summed once over the whole batch. No image's values depend on
-its block, so the results are the same bits for any CPU count. Every other op
-runs on the calling thread over the whole batch.
+its block, so the results are the same bits for any CPU count. Every other
+tape op runs on the calling thread over the whole batch. The pure functions
+run on whatever thread calls them: `backbone.forward` gives each CPU a run of
+whole row tiles through `_on_blocks`.
 """
 from __future__ import annotations
 

@@ -491,6 +491,26 @@ def test_eval_takes_class_count_from_checkpoint(tmp_path, capsys):
     assert len(payload["per_class"]) == 4
 
 
+@pytest.mark.parametrize("error, code", [(weckd.tensor.ShapeError, 2),
+                                         (weckd.tensor.NumericError, 1), (MemoryError, 1)])
+def test_an_error_in_a_worker_tile_of_eval_keeps_its_exit_code(tmp_path, capsys, monkeypatch,
+                                                               error, code):
+    ckpt, data = _eval_inputs(tmp_path, capsys)
+    real = weckd.tensor._im2col
+
+    def failing_on_a_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise error("raised in a worker tile")
+        return real(*args)
+
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 2)  # two runs of tiles: one on the pool
+    monkeypatch.setattr(weckd.tensor, "_im2col", failing_on_a_worker)
+    got, out = _run_eval(ckpt, data, capsys)
+    assert got == code
+    assert "raised in a worker tile" in out.err and "Traceback" not in out.err
+    assert out.out == ""
+
+
 def test_eval_on_zero_images_is_usage_error_naming_the_images_file(tmp_path, capsys):
     ckpt, _ = _eval_inputs(tmp_path, capsys)
     images, labels = str(tmp_path / "empty-i.idx"), str(tmp_path / "empty-l.idx")

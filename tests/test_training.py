@@ -248,6 +248,39 @@ def test_a_training_steps_bits_do_not_depend_on_the_cpu_count(attention, dtype, 
                 assert np.array_equal(grads[name], one[name]), (batch, cpus, name)
 
 
+@pytest.mark.parametrize("attention", [False, True])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_inference_bits_do_not_depend_on_the_cpu_count(attention, dtype, monkeypatch):
+    # forward raises its tile count to a multiple of the CPU count, but never
+    # below 2 rows a tile: a 1-row tile's logits differ in the last bits
+    from weckd.backbone import Model, _tile_rows, forward
+    cfg = BackboneConfig(input_size=(32, 32, 1), num_classes=4, attention_enabled=attention)
+    model = build_model(cfg)
+    model = Model(cfg, {k: v.astype(dtype) for k, v in model.params.items()})
+    rows = _tile_rows(cfg, dtype)
+    real_layers = weckd.backbone._layers
+    tiles = []
+
+    def recording(ops, p, x, config):
+        tiles.append(len(x))
+        return real_layers(ops, p, x, config)
+
+    monkeypatch.setattr(weckd.backbone, "_layers", recording)
+    rng = np.random.default_rng(2)
+    for n in (1, 2, 3, 5, rows + 1, 257):
+        x = rng.random((n, 1, 32, 32)).astype(dtype)
+        monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 1)
+        tiles.clear()
+        z1 = forward(model, x)
+        assert tiles == [len(t) for t in np.array_split(x, -(-n // rows))], n
+        for cpus in (2, 3, 4):
+            monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+            tiles.clear()
+            z = forward(model, x)
+            assert z.dtype == dtype and np.array_equal(z, z1), (n, cpus)
+            assert sum(tiles) == n and min(tiles) >= min(n, 2), (n, cpus, tiles)
+
+
 @pytest.mark.parametrize("error", [ShapeError, NumericError, MemoryError])
 def test_a_worker_blocks_exception_reaches_the_caller_after_every_block(error):
     finished = []
