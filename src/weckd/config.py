@@ -123,6 +123,10 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"$.dataset.synthetic.n must be >= 10 * classes, got {synthetic['n']}")
     if synthetic and synthetic["noise_std"] < 0:
         raise ConfigError(f"$.dataset.synthetic.noise_std must be >= 0, got {synthetic['noise_std']}")
+    seeds = cfg["repeat_seeds"]
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise ConfigError(f"$.repeat_seeds[{i}] repeats seed {seed}")
     n_trials = cfg["hyperopt"]["n_trials"]
     if n_trials < 1:
         raise ConfigError(f"$.hyperopt.n_trials must be >= 1, got {n_trials}")

@@ -54,7 +54,6 @@ class DatasetSplit:
     d2: np.ndarray
     d3: np.ndarray
     d_test: np.ndarray
-    seed: int
 
     def training_indices(self):
         return np.concatenate([self.d1, self.d2, self.d3])
@@ -173,9 +172,11 @@ def generate_synthetic(n, num_classes, size=(32, 32), noise_std=0.1, seed=0) -> 
         raise ContractError(f"num_classes must be in [2,8], got {num_classes}")
     if n < 10 * num_classes:
         raise ContractError(f"need n >= {10 * num_classes} for {num_classes} classes, got {n}")
-    if not noise_std >= 0:  # NaN too
-        raise ContractError(f"noise_std must be >= 0, got {noise_std}")
+    if not 0 <= noise_std < np.inf:  # NaN too
+        raise ContractError(f"noise_std must be a finite number >= 0, got {noise_std}")
     h, w = size
+    if h < 1 or w < 1:
+        raise ContractError(f"image size must be at least 1x1, got {h}x{w}")
     rng = np.random.default_rng(seed)
     # balanced labels (+/-1), then a seeded shuffle
     labels = np.arange(n) % num_classes
@@ -219,7 +220,6 @@ def partition(dataset: LabeledDataset, seed, stratified=True) -> DatasetSplit:
         d2=perm[tenth:2 * tenth].copy(),
         d3=perm[2 * tenth:3 * tenth].copy(),
         d_test=perm[3 * tenth:].copy(),
-        seed=seed,
     )
 
 

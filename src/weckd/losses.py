@@ -1,7 +1,6 @@
 """Distillation loss machinery: temperature softmax, CE, KL, hybrid objective, annealing."""
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,14 +124,8 @@ def anneal_temperature(epoch, total_epochs, t_max, t_min):
     """Linear schedule T(e) = t_max - (t_max - t_min) * e / total_epochs."""
     if total_epochs < 1:
         raise ContractError(f"total_epochs must be >= 1, got {total_epochs}")
-    if epoch < 0:
-        raise ContractError(f"epoch must be >= 0, got {epoch}")
-    if epoch > total_epochs:
-        warnings.warn(
-            f"epoch {epoch} beyond schedule end {total_epochs}; clamping to t_min",
-            stacklevel=2,
-        )
-        return float(t_min)
+    if not 0 <= epoch <= total_epochs:
+        raise ContractError(f"epoch must be in [0, {total_epochs}], got {epoch}")
     # lerp form so both endpoints are exact in floating point
     frac = epoch / total_epochs
     return float(t_max * (1.0 - frac) + t_min * frac)

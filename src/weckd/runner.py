@@ -219,6 +219,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
     """TPE study over (eta, alpha, t_max); objective is M3 validation accuracy."""
     out_dir = out_dir or cfg.output_dir
+    if n_trials < 1:
+        raise ContractError(f"n_trials must be >= 1, got {n_trials}")
     dataset = load_dataset(cfg)
     split = partition(dataset, cfg.partition_seed)
     backbone = backbone_for(cfg, dataset)

@@ -45,7 +45,6 @@ __all__ = [
     "attention_scores",
     "scale_spatial",
     "sgd_step",
-    "finite_diff_check",
 ]
 
 
@@ -478,45 +477,3 @@ def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
         new_params[name] = p - lr * v
     return new_params, new_vel
 
-
-def finite_diff_check(forward_fn, grad_fn, params, eps=1e-5,
-                      max_coords_per_param=None, seed=0):
-    """Compare analytic gradients to central finite differences: the gradient
-    oracle that the tests and the acceptance gate check the tape against.
-
-    forward_fn(params) -> scalar loss; grad_fn(params) -> {name: grad}.
-    Returns the maximum relative error over checked coordinates, with
-    denominator max(|analytic|, |numeric|, 1e-8). By default every scalar
-    parameter is checked; `max_coords_per_param` caps the per-tensor count
-    via seeded sampling for large models.
-    """
-    if not (1e-7 <= eps <= 1e-3):
-        raise ContractError(f"eps must be in [1e-7, 1e-3], got {eps}")
-    analytic = grad_fn(params)
-    rng = np.random.default_rng(seed)
-    max_err = 0.0
-    for name in sorted(params):
-        p = params[name]
-        flat_idx = np.arange(p.size)
-        if max_coords_per_param is not None and p.size > max_coords_per_param:
-            flat_idx = rng.choice(p.size, size=max_coords_per_param, replace=False)
-        a_flat = analytic[name].reshape(-1)
-        for i in flat_idx:
-            orig = p.flat[i]
-            work = dict(params)
-            pp = p.copy()
-            pp.flat[i] = orig + eps
-            work[name] = pp
-            lp = float(forward_fn(work))
-            pm = p.copy()
-            pm.flat[i] = orig - eps
-            work[name] = pm
-            lm = float(forward_fn(work))
-            if not (np.isfinite(lp) and np.isfinite(lm)):
-                raise NumericError(f"non-finite loss perturbing {name!r} coordinate {int(i)}")
-            numeric = (lp - lm) / (2.0 * eps)
-            a = float(a_flat[i])
-            err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            if err > max_err:
-                max_err = err
-    return max_err

@@ -130,9 +130,7 @@ def suggest(history, space: SearchSpace, trial_seed):
 
     complete = sorted(complete, key=lambda t: t.objective, reverse=True)
     n_good = max(1, int(np.ceil(GAMMA * len(complete))))
-    good, bad = complete[:n_good], complete[n_good:]
-    if not bad:
-        bad = complete  # degenerate split; score against the whole history
+    good, bad = complete[:n_good], complete[n_good:]  # bad is non-empty: n >= N_STARTUP = 2
 
     out = []
     for d, dim in enumerate(space.dimensions()):

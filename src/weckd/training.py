@@ -33,7 +33,6 @@ __all__ = [
     "CheckpointError",
     "train_stage1",
     "train_distill_stage",
-    "train_single_baseline",
     "scheduler_step",
     "run_chain",
     "evaluate",
@@ -97,13 +96,6 @@ class ChainResult:
     teacher_digests: list         # per distill stage: (digest before, digest after)
 
 
-def _logits(model, dataset, indices):
-    """`forward` over `indices`, gathered once: `forward`'s row tiles are the
-    only chunking, so a row's logits do not depend on the rows beside it."""
-    x, _ = make_batches(dataset, indices, len(indices))[0]
-    return forward(model, x)
-
-
 def evaluate(model, dataset, indices, batch_size=None):
     """Mean CE loss and accuracy over `indices` (pure inference). The pass is
     one `forward` call unless `batch_size` splits it."""
@@ -113,8 +105,10 @@ def evaluate(model, dataset, indices, batch_size=None):
 
 
 def logits_of(model, dataset, indices):
-    """Stacked inference logits over `indices`, one `forward` call."""
-    return _logits(model, dataset, indices)
+    """Inference logits over `indices`, gathered once and scored in one `forward`
+    call: its row tiles are the only chunking, so a row's logits do not depend
+    on the rows beside it."""
+    return forward(model, dataset.images[np.asarray(indices)])
 
 
 def loss_accuracy(logits, labels):
@@ -242,18 +236,9 @@ def train_distill_stage(student, teacher, d_indices, dataset, cfg: TrainConfig,
             f"chain composition error: teacher has {teacher.num_classes} classes, "
             f"student has {student.num_classes}"
         )
-    teacher_z = _logits(teacher, dataset, _carve_validation(d_indices)[0])
+    teacher_z = forward(teacher, dataset.images[_carve_validation(d_indices)[0]])
     return _train_loop(student, d_indices, dataset, cfg, stage_index=stage_index,
                        teacher_z=teacher_z)
-
-
-def train_single_baseline(dataset, split, cfg: TrainConfig,
-                          backbone: BackboneConfig = None) -> StageResult:
-    """One backbone on d1+d2+d3 with the same budget; the 30%-baseline comparison."""
-    backbone = backbone or _default_backbone(dataset)
-    model = build_model(replace(backbone, attention_enabled=False,
-                                init_seed=_f_base_seed(cfg.seed)))
-    return _train_loop(model, split.training_indices(), dataset, cfg, stage_index=9)
 
 
 def _f_base_seed(seed):

@@ -32,7 +32,6 @@ from weckd.losses import (
     kd_loss,
 )
 from weckd.runner import score_chain
-from weckd.tensor import finite_diff_check
 from weckd.tpe import SearchSpace, run_study
 from weckd.training import (
     TrainConfig,
@@ -41,8 +40,9 @@ from weckd.training import (
     load_checkpoint,
     run_chain,
     save_checkpoint,
-    train_single_baseline,
 )
+
+from oracles import finite_diff_check, train_single_baseline
 
 
 # ---------------------------------------------------------------------------

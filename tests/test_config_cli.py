@@ -129,6 +129,15 @@ def test_gen_data_negative_noise_is_usage_error(tmp_path, capsys):
     assert not os.path.exists(out + "-images.idx")
 
 
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_gen_data_empty_image_size_is_usage_error(tmp_path, capsys, size):
+    out = str(tmp_path / "x")
+    assert main(["gen-data", "--out", out, "--size", size]) == 2
+    err = capsys.readouterr().err
+    assert f"{size}x{size}" in err and "Traceback" not in err
+    assert not os.path.exists(out + "-images.idx")
+
+
 def test_train_writes_run_artifacts(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY_EXPERIMENT)
     out_dir = str(tmp_path / "run")
@@ -212,6 +221,7 @@ BAD_DOCUMENTS = [
     ({"repeat_seeds": 5}, "$.repeat_seeds"),
     ({"repeat_seeds": []}, "$.repeat_seeds"),
     ({"repeat_seeds": [0, -3]}, "$.repeat_seeds[1]"),
+    ({"repeat_seeds": [3, 4, 3]}, "$.repeat_seeds[2]"),
     ({"hyperopt": 3}, "$.hyperopt"),
     ({"hyperopt": {"seed": 1.5}}, "$.hyperopt.seed"),
     ({"hyperopt": {"enabled": True}}, "$.hyperopt.enabled"),
@@ -754,6 +764,14 @@ def test_bad_trial_count_is_usage_error_naming_the_key(tmp_path, capsys, value):
     assert main(["tune", "--config", write_config(tmp_path, doc),
                  "--out-dir", str(tmp_path / "study")]) == 2
     assert "$.hyperopt.n_trials" in capsys.readouterr().err
+
+
+def test_bad_trials_flag_is_usage_error_before_the_run_directory(tmp_path, capsys):
+    out_dir = tmp_path / "study"
+    assert main(["tune", "--config", write_config(tmp_path, TINY_EXPERIMENT),
+                 "--trials", "0", "--out-dir", str(out_dir)]) == 2
+    assert "n_trials" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_missing_checkpoint_is_runtime_error(tmp_path, capsys):

@@ -147,7 +147,7 @@ def test_generate_class_count_limits():
         generate_synthetic(30, 4, (16, 16), 0.1, seed=0)  # n < 10*K
 
 
-@pytest.mark.parametrize("noise_std", [-0.5, float("nan")])
+@pytest.mark.parametrize("noise_std", [-0.5, float("nan"), float("inf")])
 def test_generate_rejects_a_negative_or_nan_noise_std(noise_std):
     with pytest.raises(ContractError, match="noise_std"):
         generate_synthetic(40, 4, (16, 16), noise_std, seed=0)

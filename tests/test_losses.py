@@ -252,9 +252,9 @@ def test_anneal_is_exactly_linear():
             assert anneal_temperature(e, E, t_max, t_min) == pytest.approx(expected, abs=1e-12)
 
 
-def test_anneal_clamps_past_schedule_with_warning():
-    with pytest.warns(UserWarning):
-        assert anneal_temperature(60, 50, 4.0, 1.5) == 1.5
+def test_anneal_rejects_an_epoch_past_the_schedule():
+    with pytest.raises(ContractError, match="60"):
+        anneal_temperature(60, 50, 4.0, 1.5)
 
 
 def test_distill_params_validation():

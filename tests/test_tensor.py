@@ -16,7 +16,6 @@ from weckd.tensor import (
     _im2col,
     conv2d,
     dense,
-    finite_diff_check,
     gap,
     maxpool2,
     relu,
@@ -24,6 +23,8 @@ from weckd.tensor import (
 )
 from weckd.backbone import BackboneConfig, build_model, forward_on_tape
 from weckd.losses import hybrid_loss, hybrid_loss_grad
+
+from oracles import finite_diff_check
 
 
 def test_conv2d_scalar_product():

@@ -38,8 +38,9 @@ from weckd.training import (
     scheduler_step,
     train_distill_stage,
     train_stage1,
-    train_single_baseline,
 )
+
+from oracles import train_single_baseline
 
 TINY_BB = BackboneConfig(input_size=(12, 12, 1), conv_blocks=(4, 6), fc_width=8,
                          num_classes=3)
@@ -358,7 +359,7 @@ def test_chain_student_starts_from_teacher_and_takes_the_gate_only_if_both_use_o
 def test_chain_refuses_test_leakage():
     ds, _ = tiny_setup(n=90)
     leaky = DatasetSplit(d1=np.arange(0, 9), d2=np.arange(9, 18),
-                         d3=np.arange(18, 27), d_test=np.arange(8, 90), seed=0)
+                         d3=np.arange(18, 27), d_test=np.arange(8, 90))
     with pytest.raises(ContractError, match="test"):
         run_chain(ds, leaky, fast_cfg(), TINY_BB)
 
@@ -366,7 +367,7 @@ def test_chain_refuses_test_leakage():
 def test_chain_refuses_overlapping_subsets():
     ds, _ = tiny_setup(n=90)
     leaky = DatasetSplit(d1=np.arange(0, 9), d2=np.arange(5, 14),
-                         d3=np.arange(18, 27), d_test=np.arange(27, 90), seed=0)
+                         d3=np.arange(18, 27), d_test=np.arange(27, 90))
     with pytest.raises(ContractError, match="overlap"):
         run_chain(ds, leaky, fast_cfg(), TINY_BB)
 
