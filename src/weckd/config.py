@@ -123,6 +123,9 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"$.dataset.synthetic.n must be >= 10 * classes, got {synthetic['n']}")
     if synthetic and synthetic["noise_std"] < 0:
         raise ConfigError(f"$.dataset.synthetic.noise_std must be >= 0, got {synthetic['noise_std']}")
+    for side in ("height", "width"):
+        if synthetic and synthetic[side] < 1:
+            raise ConfigError(f"$.dataset.synthetic.{side} must be >= 1, got {synthetic[side]}")
     seeds = cfg["repeat_seeds"]
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:

@@ -1,4 +1,4 @@
-"""Dataset ingestion (IDX + seeded synthetic shapes), the 10/10/10/70 split, batching."""
+"""Dataset ingestion (IDX + seeded synthetic shapes), the per-stage 10% split, batching."""
 from __future__ import annotations
 
 import os
@@ -23,6 +23,8 @@ __all__ = [
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
+
+N_STAGES = 3  # models in the chain, each trained on its own 10% of the data
 
 
 class IdxFormatError(ValueError):
@@ -50,13 +52,11 @@ class LabeledDataset:
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
+    subsets: tuple          # one training index array per chain stage, in stage order
     d_test: np.ndarray
 
     def training_indices(self):
-        return np.concatenate([self.d1, self.d2, self.d3])
+        return np.concatenate(self.subsets)
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +197,9 @@ def generate_synthetic(n, num_classes, size=(32, 32), noise_std=0.1, seed=0) -> 
 # ---------------------------------------------------------------------------
 
 def partition(dataset: LabeledDataset, seed, stratified=True) -> DatasetSplit:
-    """Seeded per-class shuffle, classes interleaved, then contiguous
-    10%/10%/10%/rest slices. `stratified` is kept for callers that pass it;
-    the split is always stratified."""
+    """Seeded per-class shuffle, classes interleaved, then one contiguous 10%
+    slice per chain stage and the rest as the test set. `stratified` is kept
+    for callers that pass it; the split is always stratified."""
     if not stratified:
         raise ContractError("partition is always stratified")
     n = len(dataset)
@@ -216,10 +216,8 @@ def partition(dataset: LabeledDataset, seed, stratified=True) -> DatasetSplit:
     perm = table[table >= 0]
     tenth = n // 10
     return DatasetSplit(
-        d1=perm[:tenth].copy(),
-        d2=perm[tenth:2 * tenth].copy(),
-        d3=perm[2 * tenth:3 * tenth].copy(),
-        d_test=perm[3 * tenth:].copy(),
+        subsets=tuple(perm[i * tenth:(i + 1) * tenth].copy() for i in range(N_STAGES)),
+        d_test=perm[N_STAGES * tenth:].copy(),
     )
 
 

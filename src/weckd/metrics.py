@@ -1,10 +1,9 @@
 """Classification metrics and the chain theory-check report."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from .data import N_STAGES
 from .losses import kd_loss
 from .tensor import ContractError
 
@@ -12,7 +11,6 @@ __all__ = [
     "confusion_matrix",
     "prf1",
     "roc_auc_ovr",
-    "TheoryReport",
     "theory_report",
 ]
 
@@ -102,43 +100,33 @@ def roc_auc_ovr(probs, true_labels):
     return {"per_class": aucs, "macro": macro}
 
 
-@dataclass
-class TheoryReport:
-    risks: list                  # empirical 0-1 risks of M1..M3 on the test set
-    kl_m2_m1: float              # mean KL(p_M2 || p_M1) at T=1 over the test set
-    kl_m3_m2: float
-    beta_hat: float | None       # logit-difference attenuation ratio (None if 0/0)
-    gaps: list                   # per stage: test error - train error
-    hierarchy_holds: bool        # R(M3) <= R(M2) <= R(M1)
+def theory_report(progression, test_logits) -> dict:
+    """Empirical risk hierarchy, the KL term of each consecutive pair of models,
+    and the attenuation estimate, from `runner.score_chain`'s progression rows
+    and each chain model's test-set logits: the dict stored under "theory".
 
-
-def theory_report(progression, test_logits) -> TheoryReport:
-    """Empirical risk hierarchy, pairwise KL terms, and the attenuation estimate,
-    from `runner.score_chain`'s progression rows and M1..M3 test-set logits.
-
-    beta_hat is the ratio of consecutive mean |logit difference| L1 norms over
-    the test set: a diagnostic for whether inherited perturbations shrink.
-    Every term runs in float64 whatever the logits' dtype.
+    risks are the test-set 0-1 risks, gaps the test error less the train error,
+    and `kl_m{i+1}_m{i}` the mean KL(p_M{i+1} || p_M{i}) at T=1. beta_hat is the
+    ratio of the last mean |logit difference| L1 norm between consecutive models
+    to the one before it (None if that is 0): a diagnostic for whether inherited
+    perturbations shrink. Every term runs in float64 whatever the logits' dtype.
     """
-    if len(progression) != 3 or len(test_logits) != 3:
+    if len(progression) != N_STAGES or len(test_logits) != N_STAGES:
         raise ContractError(
-            f"theory report needs exactly 3 chain models, got {len(progression)} "
+            f"theory report needs exactly {N_STAGES} chain models, got {len(progression)} "
             f"progression rows and {len(test_logits)} logit arrays"
         )
     risks = [1.0 - row["test_acc"] for row in progression]
-    gaps = [(1.0 - row["test_acc"]) - (1.0 - row["train_acc"]) for row in progression]
+    report = {
+        "risks": risks,
+        "gaps": [(1.0 - row["test_acc"]) - (1.0 - row["train_acc"]) for row in progression],
+        "hierarchy_holds": all(b <= a for a, b in zip(risks, risks[1:])),
+    }
     z = [np.asarray(logits, dtype=np.float64) for logits in test_logits]
-    # kd_loss(student, teacher, T) is KL(teacher || student)
-    kl_m2_m1 = kd_loss(z[0], z[1], 1.0)
-    kl_m3_m2 = kd_loss(z[1], z[2], 1.0)
-    denom = float(np.abs(z[1] - z[0]).sum(axis=1).mean())
-    numer = float(np.abs(z[2] - z[1]).sum(axis=1).mean())
-    beta_hat = None if denom == 0.0 else numer / denom
-    return TheoryReport(
-        risks=risks,
-        kl_m2_m1=kl_m2_m1,
-        kl_m3_m2=kl_m3_m2,
-        beta_hat=beta_hat,
-        gaps=gaps,
-        hierarchy_holds=bool(risks[2] <= risks[1] <= risks[0]),
-    )
+    shifts = []
+    for i, (prev, cur) in enumerate(zip(z, z[1:]), start=1):
+        # kd_loss(student, teacher, T) is KL(teacher || student)
+        report[f"kl_m{i + 1}_m{i}"] = kd_loss(prev, cur, 1.0)
+        shifts.append(float(np.abs(cur - prev).sum(axis=1).mean()))
+    report["beta_hat"] = None if shifts[-2] == 0.0 else shifts[-1] / shifts[-2]
+    return report

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import contextlib
 import csv
-import dataclasses
 import json
 import os
 from dataclasses import replace
@@ -54,20 +53,20 @@ def backbone_for(cfg: ExperimentConfig, dataset: LabeledDataset) -> BackboneConf
 
 
 def score_chain(models, dataset, split):
-    """Score the three chain models as their checkpoints store them.
+    """Score the chain's models as their checkpoints store them.
 
     Each model's parameters are rounded by `at_checkpoint_precision`, exactly
     as `save_checkpoint` rounds them, so every pass runs at that precision and
-    the scores are those of m1-m3.wckd: `load_checkpoint` of each file, scored
-    over the same images, gives them bit for bit. One pass per model over its
-    own training subset and one over d_test.
+    the scores are those of the m<i>.wckd files: `load_checkpoint` of each,
+    scored over the same images, gives them bit for bit. One pass per model
+    over its own training subset and one over d_test.
 
-    Returns (progression rows, [test-set logits of M1, M2, M3]); the
+    Returns (progression rows, [test-set logits of each model]); the
     metrics payload, the theory report and the CSV all derive from these.
     """
     truths = dataset.labels[split.d_test]
     progression, test_logits = [], []
-    for i, (model, subset) in enumerate(zip(models, (split.d1, split.d2, split.d3))):
+    for i, (model, subset) in enumerate(zip(models, split.subsets)):
         model = at_checkpoint_precision(model)
         train_loss, train_acc = evaluate(model, dataset, subset)
         z = logits_of(model, dataset, split.d_test)
@@ -84,13 +83,12 @@ def score_chain(models, dataset, split):
 
 
 def deltas(progression):
-    """Test-accuracy gains along the chain."""
+    """Test-accuracy gains along the chain: each stage over its predecessor,
+    then the last over the first."""
     acc = [row["test_acc"] for row in progression]
-    return {
-        "m1_to_m2": acc[1] - acc[0],
-        "m2_to_m3": acc[2] - acc[1],
-        "m1_to_m3": acc[2] - acc[0],
-    }
+    gains = {f"m{i}_to_m{i + 1}": b - a for i, (a, b) in enumerate(zip(acc, acc[1:]), start=1)}
+    gains[f"m1_to_m{len(acc)}"] = acc[-1] - acc[0]
+    return gains
 
 
 def _classify(probs, labels, k):
@@ -103,7 +101,6 @@ def _metrics_payload(progression, test_logits, dataset, split):
     k = dataset.num_classes
     cm, scores, auc = _classify(softmax_temperature(test_logits[-1], 1.0),
                                 dataset.labels[split.d_test], k)
-    theory = theory_report(progression, test_logits)
     return {
         "accuracy": scores["accuracy"],
         "macro": scores["macro"],
@@ -114,7 +111,7 @@ def _metrics_payload(progression, test_logits, dataset, split):
         ],
         "macro_auc": auc["macro"],
         "confusion_matrix": cm.tolist(),
-        "theory": dataclasses.asdict(theory),
+        "theory": theory_report(progression, test_logits),
         "progression": progression,
         "deltas": deltas(progression),
     }
@@ -217,7 +214,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
 
 
 def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
-    """TPE study over (eta, alpha, t_max); objective is M3 validation accuracy."""
+    """TPE study over (eta, alpha, t_max); objective is the last model's validation accuracy."""
     out_dir = out_dir or cfg.output_dir
     if n_trials < 1:
         raise ContractError(f"n_trials must be >= 1, got {n_trials}")
@@ -233,9 +230,9 @@ def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
             learning_rate=eta,
             distill=replace(base_train.distill, alpha=alpha, t_max=temp),
         )
-        m3 = run_chain(dataset, split, train_cfg, backbone).stage_results[2]
-        # M3's validation accuracy at the epoch whose parameters it kept
-        return m3.epoch_curves[m3.best_epoch]["val_acc"]
+        last = run_chain(dataset, split, train_cfg, backbone).stage_results[-1]
+        # its validation accuracy at the epoch whose parameters it kept
+        return last.epoch_curves[last.best_epoch]["val_acc"]
 
     best, trials = run_study(objective, SearchSpace(), n_trials, cfg.hyperopt["seed"])
     with _replacing(os.path.join(out_dir, "trials.csv")) as tmp, open(tmp, "w", newline="") as f:

@@ -1,7 +1,9 @@
-"""Chain orchestration: stage-1 supervised training, stage-2/3 distillation with
-frozen teachers, LR plateau decay, early stopping, checkpointing, timing capture."""
+"""Chain orchestration: stage-1 supervised training, distillation of each later
+stage from its frozen predecessor, LR plateau decay, early stopping,
+checkpointing, timing capture."""
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import numbers
@@ -21,7 +23,7 @@ from .backbone import (
     param_digest,
     param_shapes,
 )
-from .data import DatasetSplit, LabeledDataset, make_batches
+from .data import N_STAGES, DatasetSplit, LabeledDataset, make_batches
 from .losses import (DistillParams, anneal_temperature, ce_loss, hybrid_loss, hybrid_loss_grad,
                      softmax_temperature)
 from .tensor import ContractError, NumericError
@@ -76,8 +78,8 @@ class TrainConfig:
             raise ContractError(f"momentum must be in [0,1), got {self.momentum}")
         if not 0.0 < self.lr_decay_factor < 1.0:
             raise ContractError(f"lr_decay_factor must be in (0,1), got {self.lr_decay_factor}")
-        if len(self.stage_attention) != 3:
-            raise ContractError("stage_attention needs exactly three flags")
+        if len(self.stage_attention) != N_STAGES:
+            raise ContractError(f"stage_attention needs exactly {N_STAGES} flags")
 
 
 @dataclass
@@ -92,7 +94,7 @@ class StageResult:
 
 @dataclass
 class ChainResult:
-    stage_results: list           # [StageResult; 3]
+    stage_results: list           # one StageResult per stage
     teacher_digests: list         # per distill stage: (digest before, digest after)
 
 
@@ -255,16 +257,14 @@ def _assert_no_leakage(split: DatasetSplit):
     train = split.training_indices()
     if np.intersect1d(train, split.d_test).size:
         raise ContractError("training indices overlap the test set; refusing to train")
-    sets = [split.d1, split.d2, split.d3]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if np.intersect1d(sets[i], sets[j]).size:
-                raise ContractError(f"training subsets {i + 1} and {j + 1} overlap")
+    for (i, a), (j, b) in itertools.combinations(enumerate(split.subsets, start=1), 2):
+        if np.intersect1d(a, b).size:
+            raise ContractError(f"training subsets {i} and {j} overlap")
 
 
 def run_chain(dataset: LabeledDataset, split: DatasetSplit, cfg: TrainConfig,
               backbone: BackboneConfig = None) -> ChainResult:
-    """Full three-stage chain: supervised M1, then distilled M2 and M3.
+    """The full chain: supervised M1, then each later model distilled from its predecessor.
 
     Trains only; `runner.score_chain` scores the trained models."""
     _assert_no_leakage(split)
@@ -272,25 +272,22 @@ def run_chain(dataset: LabeledDataset, split: DatasetSplit, cfg: TrainConfig,
     seed = _f_base_seed(cfg.seed)
     # one shared init: every model has the gate's parameters, used or not
     init = build_model(replace(backbone, init_seed=seed)).params
-    subsets = [split.d1, split.d2, split.d3]
     stage_results = []
     teacher_digests = []
     teacher = None
-    for i in range(3):
-        model = Model(replace(backbone, attention_enabled=cfg.stage_attention[i],
-                              init_seed=seed), init)
-        if teacher is not None:
+    for i, (subset, attention) in enumerate(zip(split.subsets, cfg.stage_attention, strict=True)):
+        model = Model(replace(backbone, attention_enabled=attention, init_seed=seed), init)
+        if teacher is None:
+            result = train_stage1(model, subset, dataset, cfg)
+        else:
             # each student inherits its predecessor's trained extractor and
             # head instead of relearning them from its own 10% slice; the
             # attention gate only when both use one (else it keeps its init)
             gate = teacher.attention_enabled and model.attention_enabled
             model.params = {name: init[name] if name in ("w_att", "b_att") and not gate
                             else value for name, value in teacher.params.items()}
-        if i == 0:
-            result = train_stage1(model, subsets[i], dataset, cfg)
-        else:
             before = param_digest(teacher)
-            result = train_distill_stage(model, teacher, subsets[i], dataset, cfg, stage_index=i)
+            result = train_distill_stage(model, teacher, subset, dataset, cfg, stage_index=i)
             teacher_digests.append((before, param_digest(teacher)))
         stage_results.append(result)
         teacher = result.model

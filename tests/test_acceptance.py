@@ -168,9 +168,10 @@ def test_partition_protocol():
         split = partition(ds, seed)
         spent += time.perf_counter() - t0
         tenth = n // 10
-        assert split.d1.size == split.d2.size == split.d3.size == tenth
+        assert split.subsets[0].size == split.subsets[1].size == split.subsets[2].size == tenth
         assert split.d_test.size == n - 3 * tenth
-        merged = np.concatenate([split.d1, split.d2, split.d3, split.d_test])
+        merged = np.concatenate([split.subsets[0], split.subsets[1], split.subsets[2],
+                                 split.d_test])
         # every index in 0..n-1 exactly once: disjoint slices covering the data
         assert np.array_equal(np.sort(merged), np.arange(n))
     assert spent < 10.0, f"1000 partition calls took {spent:.1f}s"
@@ -206,9 +207,9 @@ def test_risk_hierarchy(protocol):
     holds = 0
     for progression, test_logits in protocol["scores"]:
         report = theory_report(progression, test_logits)
-        assert report.kl_m2_m1 >= 0.0
-        assert report.kl_m3_m2 >= 0.0
-        r1, r2, r3 = report.risks
+        assert report["kl_m2_m1"] >= 0.0
+        assert report["kl_m3_m2"] >= 0.0
+        r1, r2, r3 = report["risks"]
         holds += (r3 <= r2 <= r1)
     assert holds >= 4, f"risk hierarchy held in only {holds}/5 runs"
 

@@ -138,6 +138,11 @@ def test_gen_data_empty_image_size_is_usage_error(tmp_path, capsys, size):
     assert not os.path.exists(out + "-images.idx")
 
 
+# the per-stage keys a three-stage run stores
+THEORY_KEYS = {"risks", "gaps", "kl_m2_m1", "kl_m3_m2", "beta_hat", "hierarchy_holds"}
+DELTA_KEYS = {"m1_to_m2", "m2_to_m3", "m1_to_m3"}
+
+
 def test_train_writes_run_artifacts(tmp_path, capsys):
     cfg_path = write_config(tmp_path, TINY_EXPERIMENT)
     out_dir = str(tmp_path / "run")
@@ -148,6 +153,8 @@ def test_train_writes_run_artifacts(tmp_path, capsys):
     payload = json.load(open(os.path.join(out_dir, "metrics.json")))
     assert {"accuracy", "progression", "deltas", "theory"} <= set(payload)
     assert [row["stage"] for row in payload["progression"]] == ["M1", "M2", "M3"]
+    assert set(payload["theory"]) == THEORY_KEYS
+    assert set(payload["deltas"]) == DELTA_KEYS
     with open(os.path.join(out_dir, "timing.csv")) as f:
         assert f.readline().strip() == "stage,steps_per_epoch,ms_per_step,epochs_run,row_blocks"
 
@@ -240,6 +247,8 @@ BAD_DOCUMENTS = [
     ({"train": {"momentum": 1.0}}, "$.train.momentum"),
     ({"train": {"momentum": -0.1}}, "$.train.momentum"),
     ({"dataset": {"synthetic": {"noise_std": -0.5}}}, "$.dataset.synthetic.noise_std"),
+    ({"dataset": {"synthetic": {"height": 0}}}, "$.dataset.synthetic.height"),
+    ({"dataset": {"synthetic": {"width": 0}}}, "$.dataset.synthetic.width"),
 ]
 
 
@@ -670,6 +679,11 @@ def test_report_renders_every_seed_of_a_multi_seed_run(tmp_path, capsys):
     assert text.index("seed 2") < text.index("seed 10")
     assert text.count("risk hierarchy") == 2
     summary = json.load(open(os.path.join(out_dir, "summary.json")))
+    for seed in ("2", "10"):
+        assert set(summary[seed]["deltas"]) == DELTA_KEYS
+        payload = json.load(open(os.path.join(out_dir, f"seed_{seed}", "metrics.json")))
+        assert set(payload["theory"]) == THEORY_KEYS
+        assert set(payload["deltas"]) == DELTA_KEYS
     table = text[text.index("m1_to_m3"):].splitlines()[1:]
     assert [row.split()[0] for row in table] == ["2", "10"]
     for row in table:

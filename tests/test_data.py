@@ -156,20 +156,22 @@ def test_generate_rejects_a_negative_or_nan_noise_std(noise_std):
 def test_partition_sizes_n100():
     ds = generate_synthetic(100, 4, (8, 8), 0.0, seed=0)
     split = partition(ds, 0)
-    assert (len(split.d1), len(split.d2), len(split.d3), len(split.d_test)) == (10, 10, 10, 70)
+    assert (len(split.subsets[0]), len(split.subsets[1]), len(split.subsets[2]),
+            len(split.d_test)) == (10, 10, 10, 70)
 
 
 def test_partition_sizes_remainder():
     ds = generate_synthetic(103, 4, (8, 8), 0.0, seed=0)
     split = partition(ds, 1)
-    assert (len(split.d1), len(split.d2), len(split.d3), len(split.d_test)) == (10, 10, 10, 73)
+    assert (len(split.subsets[0]), len(split.subsets[1]), len(split.subsets[2]),
+            len(split.d_test)) == (10, 10, 10, 73)
 
 
 def test_partition_disjoint_and_complete():
     ds = generate_synthetic(250, 5, (8, 8), 0.0, seed=0)
     for seed in range(5):
         split = partition(ds, seed)
-        parts = [split.d1, split.d2, split.d3, split.d_test]
+        parts = [split.subsets[0], split.subsets[1], split.subsets[2], split.d_test]
         allidx = np.concatenate(parts)
         assert len(np.unique(allidx)) == 250
         for i in range(4):
@@ -180,14 +182,14 @@ def test_partition_disjoint_and_complete():
 def test_partition_deterministic():
     ds = generate_synthetic(100, 4, (8, 8), 0.0, seed=0)
     a, b = partition(ds, 7), partition(ds, 7)
-    np.testing.assert_array_equal(a.d1, b.d1)
+    np.testing.assert_array_equal(a.subsets[0], b.subsets[0])
     np.testing.assert_array_equal(a.d_test, b.d_test)
 
 
 def test_partition_stratified_balances_slices():
     ds = generate_synthetic(400, 4, (8, 8), 0.0, seed=0)
     split = partition(ds, 0)
-    for subset in (split.d1, split.d2, split.d3):
+    for subset in (split.subsets[0], split.subsets[1], split.subsets[2]):
         counts = np.bincount(ds.labels[subset], minlength=4)
         assert counts.max() - counts.min() <= 1
 
@@ -198,9 +200,9 @@ def test_partition_with_an_empty_class_is_disjoint_and_complete(stratified):
     ds = generate_synthetic(60, 2, (8, 8), 0.0, seed=0)
     ds = LabeledDataset(ds.images, ds.labels * 2, ["a", "b", "c"], 3)  # no class 1
     split = partition(ds, 0, stratified=stratified)
-    merged = np.concatenate([split.d1, split.d2, split.d3, split.d_test])
+    merged = np.concatenate([split.subsets[0], split.subsets[1], split.subsets[2], split.d_test])
     np.testing.assert_array_equal(np.sort(merged), np.arange(60))
-    assert [len(split.d1), len(split.d2), len(split.d3)] == [6, 6, 6]
+    assert [len(split.subsets[0]), len(split.subsets[1]), len(split.subsets[2])] == [6, 6, 6]
 
 
 def test_partition_rejects_unstratified():

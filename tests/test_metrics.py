@@ -147,11 +147,11 @@ def _tiny_chain_scores(models):
 
 def test_theory_report_identical_models():
     report = theory_report(*_tiny_chain_scores(_tiny_chain_models()))
-    assert report.kl_m2_m1 == pytest.approx(0.0, abs=1e-12)
-    assert report.kl_m3_m2 == pytest.approx(0.0, abs=1e-12)
-    assert report.beta_hat is None          # 0/0 attenuation ratio
-    assert report.hierarchy_holds           # equal risks satisfy <=
-    assert all(0.0 <= r <= 1.0 for r in report.risks)
+    assert report["kl_m2_m1"] == pytest.approx(0.0, abs=1e-12)
+    assert report["kl_m3_m2"] == pytest.approx(0.0, abs=1e-12)
+    assert report["beta_hat"] is None          # 0/0 attenuation ratio
+    assert report["hierarchy_holds"]           # equal risks satisfy <=
+    assert all(0.0 <= r <= 1.0 for r in report["risks"])
 
 
 def test_theory_report_kl_terms_put_the_later_model_first():
@@ -159,7 +159,7 @@ def test_theory_report_kl_terms_put_the_later_model_first():
     p = [np.exp(zi) / np.exp(zi).sum(axis=1, keepdims=True) for zi in z]
     progression = [{"train_acc": 1.0, "test_acc": 1.0}] * 3
     report = theory_report(progression, z)
-    for kl, (a, b) in ((report.kl_m2_m1, (1, 0)), (report.kl_m3_m2, (2, 1))):
+    for kl, (a, b) in ((report["kl_m2_m1"], (1, 0)), (report["kl_m3_m2"], (2, 1))):
         assert kl == pytest.approx((p[a] * np.log(p[a] / p[b])).sum(axis=1).mean(), rel=1e-12)
 
 

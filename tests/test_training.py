@@ -114,7 +114,7 @@ def test_scheduler_rejects_empty_history():
 def test_steps_per_epoch_ceiling():
     ds, split = tiny_setup()
     model = build_model(TINY_BB)
-    res = train_stage1(model, split.d1[:6], ds, fast_cfg(batch_size=32, max_epochs=1))
+    res = train_stage1(model, split.subsets[0][:6], ds, fast_cfg(batch_size=32, max_epochs=1))
     assert res.steps_per_epoch == 1
     assert res.best_epoch == 0
     assert len(res.epoch_curves) == 1
@@ -125,28 +125,28 @@ def test_stage_training_is_deterministic():
     results = []
     for _ in range(2):
         model = build_model(TINY_BB)
-        results.append(train_stage1(model, split.d1, ds, fast_cfg()))
+        results.append(train_stage1(model, split.subsets[0], ds, fast_cfg()))
     assert param_digest(results[0].model) == param_digest(results[1].model)
     assert results[0].epoch_curves == results[1].epoch_curves
 
 
 def test_distill_with_alpha_one_matches_supervised_trajectory():
     ds, split = tiny_setup()
-    teacher = train_stage1(build_model(TINY_BB), split.d1, ds, fast_cfg()).model
+    teacher = train_stage1(build_model(TINY_BB), split.subsets[0], ds, fast_cfg()).model
     cfg = fast_cfg(distill=DistillParams(alpha=1.0))
     supervised = train_stage1(build_model(replace(TINY_BB, init_seed=2)),
-                              split.d2, ds, cfg)
+                              split.subsets[1], ds, cfg)
     distilled = train_distill_stage(build_model(replace(TINY_BB, init_seed=2)),
-                                    teacher, split.d2, ds, cfg, stage_index=0)
+                                    teacher, split.subsets[1], ds, cfg, stage_index=0)
     assert param_digest(supervised.model) == param_digest(distilled.model)
 
 
 def test_teacher_parameters_frozen_through_distillation():
     ds, split = tiny_setup()
-    teacher = train_stage1(build_model(TINY_BB), split.d1, ds, fast_cfg()).model
+    teacher = train_stage1(build_model(TINY_BB), split.subsets[0], ds, fast_cfg()).model
     digest_before = param_digest(teacher)
     train_distill_stage(build_model(replace(TINY_BB, init_seed=5)), teacher,
-                        split.d2, ds, fast_cfg(), stage_index=1)
+                        split.subsets[1], ds, fast_cfg(), stage_index=1)
     assert param_digest(teacher) == digest_before
 
 
@@ -154,16 +154,16 @@ def test_distill_class_count_mismatch_rejected():
     ds, split = tiny_setup()
     teacher = build_model(replace(TINY_BB, num_classes=4))
     with pytest.raises(ContractError, match="classes"):
-        train_distill_stage(build_model(TINY_BB), teacher, split.d2, ds,
+        train_distill_stage(build_model(TINY_BB), teacher, split.subsets[1], ds,
                             fast_cfg(), stage_index=1)
 
 
 def test_best_validation_epoch_parameters_returned():
     ds, split = tiny_setup()
     model = build_model(TINY_BB)
-    res = train_stage1(model, split.d1, ds, fast_cfg(max_epochs=5))
+    res = train_stage1(model, split.subsets[0], ds, fast_cfg(max_epochs=5))
     # re-run and capture the parameters at the kept epoch by truncating the budget
-    res2 = train_stage1(build_model(TINY_BB), split.d1, ds,
+    res2 = train_stage1(build_model(TINY_BB), split.subsets[0], ds,
                         fast_cfg(max_epochs=res.best_epoch + 1))
     assert param_digest(res.model) == param_digest(res2.model)
 
@@ -182,7 +182,7 @@ def test_stage_training_leaves_the_given_model_unchanged():
     ds, split = tiny_setup()
     model = build_model(TINY_BB)
     before = _snapshot(model)
-    res = train_stage1(model, split.d1, ds, fast_cfg())
+    res = train_stage1(model, split.subsets[0], ds, fast_cfg())
     _assert_unchanged(model, before)
     assert param_digest(res.model) != param_digest(model)
 
@@ -212,7 +212,7 @@ def test_chain_leaves_every_stage_start_and_teacher_unchanged(monkeypatch):
 
 def test_step_time_recorded():
     ds, split = tiny_setup()
-    res = train_stage1(build_model(TINY_BB), split.d1, ds, fast_cfg())
+    res = train_stage1(build_model(TINY_BB), split.subsets[0], ds, fast_cfg())
     assert res.ms_per_step > 0
     assert res.row_blocks == min(8, weckd.tensor._cpus())
 
@@ -358,16 +358,16 @@ def test_chain_student_starts_from_teacher_and_takes_the_gate_only_if_both_use_o
 
 def test_chain_refuses_test_leakage():
     ds, _ = tiny_setup(n=90)
-    leaky = DatasetSplit(d1=np.arange(0, 9), d2=np.arange(9, 18),
-                         d3=np.arange(18, 27), d_test=np.arange(8, 90))
+    leaky = DatasetSplit(subsets=(np.arange(0, 9), np.arange(9, 18), np.arange(18, 27)),
+                         d_test=np.arange(8, 90))
     with pytest.raises(ContractError, match="test"):
         run_chain(ds, leaky, fast_cfg(), TINY_BB)
 
 
 def test_chain_refuses_overlapping_subsets():
     ds, _ = tiny_setup(n=90)
-    leaky = DatasetSplit(d1=np.arange(0, 9), d2=np.arange(5, 14),
-                         d3=np.arange(18, 27), d_test=np.arange(27, 90))
+    leaky = DatasetSplit(subsets=(np.arange(0, 9), np.arange(5, 14), np.arange(18, 27)),
+                         d_test=np.arange(27, 90))
     with pytest.raises(ContractError, match="overlap"):
         run_chain(ds, leaky, fast_cfg(), TINY_BB)
 
@@ -418,7 +418,7 @@ def test_teacher_scores_each_training_image_once_per_stage(monkeypatch):
         return real(model, batch)
 
     monkeypatch.setattr(weckd.training, "forward", counting)
-    subset = split.d2
+    subset = split.subsets[1]
     train_distill_stage(build_model(replace(TINY_BB, init_seed=1)), teacher, subset, ds,
                         fast_cfg(max_epochs=3, batch_size=4), stage_index=1)
     train_idx, val_idx = weckd.training._carve_validation(subset)
