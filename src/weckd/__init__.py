@@ -5,6 +5,7 @@ student learning from hard labels plus its frozen predecessor's
 temperature-softened predictions, with an attention-augmented CNN backbone
 and TPE hyperparameter search.
 """
+import ctypes
 import os
 
 # A training step's conv and pool ops run their images in blocks, and an
@@ -14,6 +15,25 @@ import os
 # this line; a variable already set in the environment is kept.
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+
+# Every training step allocates and frees the same arrays, some of them larger
+# than glibc's default mmap threshold, and a backward sweep frees its graph as
+# it goes. By default glibc maps each large array fresh and hands freed heap
+# back to the kernel, so every step faults its pages in again. Serving arrays
+# up to 32 MiB (glibc's 64-bit ceiling) from the heap and never trimming it
+# keeps freed pages for the next allocation. Where glibc's mallopt is missing
+# this does nothing; a threshold already set through the environment is kept.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+except (AttributeError, OSError, TypeError):  # no mallopt, or no handle on the C library
+    pass
+else:
+    _mallopt.argtypes, _mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # (mallopt parameter from glibc's malloc.h, its name in the environment, value)
+    for _param, _name, _value in ((-3, "MMAP_THRESHOLD", 32 << 20), (-1, "TRIM_THRESHOLD", -1)):
+        if (f"MALLOC_{_name}_" not in os.environ
+                and f"glibc.malloc.{_name.lower()}" not in os.environ.get("GLIBC_TUNABLES", "")):
+            _mallopt(_param, _value)
 
 from .backbone import BackboneConfig, Model, build_model
 from .data import DatasetSplit, LabeledDataset, generate_synthetic, load_idx, partition, write_idx

@@ -133,9 +133,11 @@ def _layers(ops, p, x, config):
 
 
 # Inference runs in row tiles whose widest conv buffer (the im2col columns or
-# the conv output) fits in this many bytes: well under glibc's 32 MiB mmap
-# ceiling, so no conv call maps and faults in fresh pages, and a tile's columns
-# stay close to the per-core L2 (2, 4 and 8 MiB measured alike; 16 was slower).
+# the conv output) fits in this many bytes: well under the 32 MiB mmap
+# threshold that `import weckd` sets (glibc's own starts at 128 KiB), so, with
+# the heap never trimmed, no conv call maps and faults in fresh pages, and a
+# tile's columns stay close to the per-core L2 (2, 4 and 8 MiB measured alike;
+# 16 was slower).
 # A pass's tiles run on every CPU at once, each in its own core's L2.
 # With the contiguous-run im2col, 10 alternating `eval` pairs each (2-core VM,
 # 12 s runs, tiles on one thread) gave median op_s 0.758 s at 4 MiB vs 0.778 s

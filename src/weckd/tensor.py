@@ -288,6 +288,7 @@ class Tape:
     def __init__(self):
         self._nodes = []
         self._params = {}  # name -> node
+        self._swept = False
 
     def _add(self, node):
         self._nodes.append(node)
@@ -428,21 +429,33 @@ class Tape:
 
         Parameters not reachable from `root` get zero gradients. Constant
         leaves (`const`) get none: their VJPs are never run.
+
+        The sweep frees the graph as it passes: each node it reaches gives up
+        its VJPs and its value, which go, with the arrays the VJPs kept (im2col
+        columns, pool masks, activations), once the VJPs have run. Only the
+        parameters and the root keep their values, so a tape is swept once: a
+        second call raises ContractError.
         """
+        if self._swept:
+            raise ContractError("this tape has been swept once; record a new tape")
         value = np.asarray(root.value)
         seed_grad = np.asarray(seed_grad, dtype=value.dtype)
         if seed_grad.shape != value.shape:
             raise ShapeError(
                 f"seed gradient shape {seed_grad.shape} does not match root shape {value.shape}"
             )
+        self._swept = True
         grads = {id(root): seed_grad}
         for node in reversed(self._nodes):
-            if not node.vjps:
+            vjps, node.vjps = node.vjps, ()
+            if not vjps:
                 continue  # a leaf: a parameter keeps its gradient in `grads`
+            if node is not root:
+                node.value = None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            for parent, fn in node.vjps:
+            for parent, fn in vjps:
                 if parent.name is None and not parent.vjps:
                     continue  # a constant leaf: nothing reads its gradient
                 contrib = fn(g)

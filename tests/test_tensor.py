@@ -130,17 +130,21 @@ def test_backward_dead_relu_unit():
 
 
 def test_backward_seed_linearity():
-    # gradient is linear in the seed: backward(g1 + g2) == backward(g1) + backward(g2)
+    # gradient is linear in the seed: backward(g1 + g2) == backward(g1) + backward(g2),
+    # each sweep on its own tape of the same op
     rng = np.random.default_rng(3)
-    tape = Tape()
-    w = tape.param("w", rng.normal(size=(3, 2)))
-    x = tape.const(rng.normal(size=(4, 3)))
-    out = tape.dense(x, w, tape.param("b", np.zeros(2)))
+    w, x = rng.normal(size=(3, 2)), rng.normal(size=(4, 3))
     g1 = rng.normal(size=(4, 2))
     g2 = rng.normal(size=(4, 2))
-    lhs = tape.backward(out, g1 + g2)
-    a = tape.backward(out, g1)
-    b = tape.backward(out, g2)
+
+    def grads(seed_grad):
+        tape = Tape()
+        out = tape.dense(tape.const(x), tape.param("w", w), tape.param("b", np.zeros(2)))
+        return tape.backward(out, seed_grad)
+
+    lhs = grads(g1 + g2)
+    a = grads(g1)
+    b = grads(g2)
     for name in lhs:
         np.testing.assert_allclose(lhs[name], a[name] + b[name], atol=1e-12)
 
@@ -177,6 +181,48 @@ def test_a_tape_is_freed_by_reference_counting():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_backward_frees_the_graph_as_it_passes(monkeypatch):
+    import weckd.tensor
+    cfg = BackboneConfig(input_size=(8, 8, 1), conv_blocks=(2, 3), fc_width=4,
+                         num_classes=3, attention_enabled=True)
+    model = build_model(cfg)
+    saved_cols = []
+    real = weckd.tensor._conv_images
+
+    def recording_conv_images(*args):
+        cols = real(*args)
+        saved_cols.append(weakref.ref(cols))
+        return cols
+
+    monkeypatch.setattr(weckd.tensor, "_conv_images", recording_conv_images)
+    gc.disable()
+    try:
+        tape = Tape()
+        logits = forward_on_tape(model, tape, np.ones((2, 1, 8, 8)))
+        ops = [node for node in tape._nodes if node.vjps and node is not logits]
+        activations = [weakref.ref(node.value) for node in ops]
+        tape.backward(logits, np.ones((2, 3)))
+        # the tape is still alive, but nothing it recorded for the sweep is
+        assert saved_cols and all(ref() is None for ref in saved_cols)
+        assert all(ref() is None for ref in activations)
+        assert all(node.value is None and node.vjps == () for node in ops)
+        assert logits.value.shape == (2, 3)
+        for name, value in model.params.items():
+            assert tape._params[name].value is value
+    finally:
+        gc.enable()
+
+
+def test_a_tape_is_swept_once():
+    tape = Tape()
+    out = tape.relu(tape.param("x", np.array([1.0, -1.0])))
+    with pytest.raises(ShapeError):
+        tape.backward(out, np.ones(3))  # refused before the sweep: the tape is intact
+    np.testing.assert_array_equal(tape.backward(out, np.ones(2))["x"], [1.0, 0.0])
+    with pytest.raises(ContractError, match="swept once"):
+        tape.backward(out, np.ones(2))
 
 
 def test_sgd_step_plain():

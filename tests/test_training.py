@@ -1,5 +1,9 @@
+import ast
 import json
 import os
+import platform
+import subprocess
+import sys
 import threading
 import time
 from collections import Counter
@@ -215,6 +219,57 @@ def test_step_time_recorded():
     res = train_stage1(build_model(TINY_BB), split.subsets[0], ds, fast_cfg())
     assert res.ms_per_step > 0
     assert res.row_blocks == min(8, weckd.tensor._cpus())
+
+
+# -- heap ----------------------------------------------------------------------
+
+MALLOC_ENV = ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_", "GLIBC_TUNABLES")
+MMAP, TRIM = (-3, 32 << 20), (-1, -1)  # (mallopt parameter, value) that `import weckd` sets
+
+
+@pytest.mark.parametrize("env, has_mallopt, calls", [
+    ({}, True, [MMAP, TRIM]),
+    ({"MALLOC_TRIM_THRESHOLD_": "0"}, True, [MMAP]),
+    ({"MALLOC_MMAP_THRESHOLD_": "4096"}, True, [TRIM]),
+    ({"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=0:glibc.malloc.mmap_threshold=4096"},
+     True, []),
+    ({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX512F"}, True, [MMAP, TRIM]),
+    ({}, False, []),
+])
+def test_import_sets_the_malloc_thresholds_the_environment_leaves_unset(env, has_mallopt, calls):
+    # weckd's import runs against a stand-in C library that records each mallopt
+    probe = (
+        "import ctypes\n"
+        "calls = []\n"
+        "class Mallopt:\n"
+        "    def __call__(self, param, value): calls.append((param, value))\n"
+        f"class Libc:\n    {'mallopt = Mallopt()' if has_mallopt else 'pass'}\n"
+        "ctypes.CDLL = lambda name: Libc()\n"
+        "import weckd\n"
+        "print(calls)\n"
+    )
+    clean = {k: v for k, v in os.environ.items() if k not in MALLOC_ENV}
+    out = subprocess.run([sys.executable, "-c", probe], env={**clean, **env},
+                         capture_output=True, text=True, check=True)
+    assert ast.literal_eval(out.stdout) == calls
+
+
+@pytest.mark.skipif(platform.system() != "Linux" or platform.libc_ver()[0] != "glibc"
+                    or any(v in os.environ for v in MALLOC_ENV),
+                    reason="the heap settings that `import weckd` makes are glibc's")
+def test_a_repeated_chain_reuses_its_heap_pages():
+    # a backward sweep frees each step's graph and glibc keeps the freed pages,
+    # so once one chain has run, an identical one takes almost no page faults;
+    # with the heap trimmed back to the kernel it took 13k-24k
+    import resource  # Unix only, like the skip condition
+    ds = generate_synthetic(400, 4, (32, 32), 0.15, seed=3)
+    split = partition(ds, 0)
+    cfg = TrainConfig(max_epochs=2, batch_size=64)
+    run_chain(ds, split, cfg)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_chain(ds, split, cfg)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 2000, f"{faults} minor page faults in a repeated chain"
 
 
 # -- image blocks --------------------------------------------------------------
