@@ -87,8 +87,17 @@ def _render_run(path):
         theory = payload["theory"]
         print(f"risk hierarchy holds: {theory['hierarchy_holds']}  "
               f"risks: {['%.4f' % r for r in theory['risks']]}")
-        print(f"KL(M2||M1)={theory['kl_m2_m1']:.5f}  KL(M3||M2)={theory['kl_m3_m2']:.5f}  "
-              f"beta_hat={theory['beta_hat']}")
+        kl = [f"KL(M{i + 1}||M{i})={theory[f'kl_m{i + 1}_m{i}']:.5f}  "
+              for i in range(1, len(payload["progression"]))]
+        print(f"{''.join(kl)}beta_hat={theory['beta_hat']}")
+
+
+def _delta_rank(key):
+    """Where `runner.deltas` puts "m<i>_to_m<j>": each stage over its
+    predecessor in stage order, then the last over the first. Any other
+    key, of any JSON type, raises ValueError."""
+    i, j = map(int, str(key).removeprefix("m").split("_to_m"))
+    return j != i + 1, i
 
 
 def _read_json(path):
@@ -112,12 +121,13 @@ def _cmd_report(args):
         print(f"seed {seed}")
         _render_run(os.path.join(args.run_dir, f"seed_{seed}", "metrics.json"))
         print()
-    print(f"{'seed':<6}{'accuracy':>10}{'m1_to_m2':>10}{'m2_to_m3':>10}{'m1_to_m3':>10}")
     with _shape_errors(summary_path):
+        columns = sorted(summary[seeds[0]]["deltas"], key=_delta_rank) if seeds else []
+        print(f"{'seed':<6}{'accuracy':>10}" + "".join(f"{c:>10}" for c in columns))
         for seed in seeds:
             d = summary[seed]["deltas"]
-            print(f"{seed:<6}{summary[seed]['accuracy']:>10.4f}{d['m1_to_m2']:>+10.4f}"
-                  f"{d['m2_to_m3']:>+10.4f}{d['m1_to_m3']:>+10.4f}")
+            print(f"{seed:<6}{summary[seed]['accuracy']:>10.4f}"
+                  + "".join(f"{d[c]:>+10.4f}" for c in columns))
     return 0
 
 

@@ -103,7 +103,7 @@ def _build(cls, fields, path, **fixed):
     try:
         return cls(**fixed, **fields)
     except (ContractError, ShapeError) as exc:
-        # the dataclasses' messages start with the name of the field they reject
+        # the dataclasses' and generate_synthetic's messages start with the key they reject
         key = str(exc).split(" ", 1)[0]
         raise ConfigError(f"{path}.{key}: {exc}" if key in fields else f"{path}: {exc}") from None
 
@@ -116,16 +116,6 @@ def parse_config(path) -> ExperimentConfig:
     except ValueError as exc:  # bad JSON or bad UTF-8
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
     cfg = _resolve(raw, _SCHEMA, "$")
-    synthetic = cfg["dataset"].get("synthetic")
-    if synthetic and not 2 <= synthetic["classes"] <= 8:
-        raise ConfigError(f"$.dataset.synthetic.classes must be in [2, 8], got {synthetic['classes']}")
-    if synthetic and synthetic["n"] < 10 * synthetic["classes"]:
-        raise ConfigError(f"$.dataset.synthetic.n must be >= 10 * classes, got {synthetic['n']}")
-    if synthetic and synthetic["noise_std"] < 0:
-        raise ConfigError(f"$.dataset.synthetic.noise_std must be >= 0, got {synthetic['noise_std']}")
-    for side in ("height", "width"):
-        if synthetic and synthetic[side] < 1:
-            raise ConfigError(f"$.dataset.synthetic.{side} must be >= 1, got {synthetic[side]}")
     seeds = cfg["repeat_seeds"]
     for i, seed in enumerate(seeds):
         if seed in seeds[:i]:

@@ -169,14 +169,14 @@ def _render_shape(cls, yy, xx, rng):
 def generate_synthetic(n, num_classes, size=(32, 32), noise_std=0.1, seed=0) -> LabeledDataset:
     """Balanced shape-vs-noise dataset: one distinct glyph per class, jittered and noisy."""
     if not 2 <= num_classes <= 8:
-        raise ContractError(f"num_classes must be in [2,8], got {num_classes}")
+        raise ContractError(f"classes must be in [2, 8], got {num_classes}")
     if n < 10 * num_classes:
-        raise ContractError(f"need n >= {10 * num_classes} for {num_classes} classes, got {n}")
+        raise ContractError(f"n must be >= 10 * classes = {10 * num_classes}, got {n}")
     if not 0 <= noise_std < np.inf:  # NaN too
         raise ContractError(f"noise_std must be a finite number >= 0, got {noise_std}")
     h, w = size
     if h < 1 or w < 1:
-        raise ContractError(f"image size must be at least 1x1, got {h}x{w}")
+        raise ContractError(f"{'height' if h < 1 else 'width'} must be >= 1, got size {h}x{w}")
     rng = np.random.default_rng(seed)
     # balanced labels (+/-1), then a seeded shuffle
     labels = np.arange(n) % num_classes

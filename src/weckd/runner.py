@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
 import json
 import os
 from dataclasses import replace
@@ -30,11 +31,14 @@ __all__ = ["load_dataset", "backbone_for", "score_chain", "deltas", "run_experim
            "tune_experiment", "evaluate_model"]
 
 
+def _synthetic(n, classes, height, width, noise_std, seed):
+    return generate_synthetic(n, classes, (height, width), noise_std, seed)
+
+
 def load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
     if "synthetic" in cfg.dataset:
-        s = cfg.dataset["synthetic"]
-        return generate_synthetic(s["n"], s["classes"], (s["height"], s["width"]),
-                                  s["noise_std"], s["seed"])
+        # generate_synthetic holds the range rules; a refusal names its $.dataset.synthetic key
+        return _build(_synthetic, cfg.dataset["synthetic"], "$.dataset.synthetic")
     images, labels = cfg.dataset["idx"]["images"], cfg.dataset["idx"]["labels"]
     dataset = load_idx(images, labels)
     if len(dataset) < 20:
@@ -92,25 +96,23 @@ def deltas(progression):
 
 
 def _classify(probs, labels, k):
-    """(K x K confusion matrix, `prf1` scores, `roc_auc_ovr` AUCs) of probability rows."""
+    """The scores of probability rows that metrics.json and `weckd eval` share."""
     cm = confusion_matrix(probs.argmax(axis=1), labels, k)
-    return cm, prf1(cm), roc_auc_ovr(probs, labels)
+    return {**prf1(cm), "confusion_matrix": cm.tolist()}
 
 
 def _metrics_payload(progression, test_logits, dataset, split):
-    k = dataset.num_classes
-    cm, scores, auc = _classify(softmax_temperature(test_logits[-1], 1.0),
-                                dataset.labels[split.d_test], k)
+    probs = softmax_temperature(test_logits[-1], 1.0)
+    labels = dataset.labels[split.d_test]
+    payload = _classify(probs, labels, dataset.num_classes)
+    auc = roc_auc_ovr(probs, labels)
+    payload["per_class"] = [
+        {"class": dataset.class_names[c], **payload["per_class"][c], "auc": auc["per_class"][c]}
+        for c in range(dataset.num_classes)
+    ]
     return {
-        "accuracy": scores["accuracy"],
-        "macro": scores["macro"],
-        "weighted": scores["weighted"],
-        "per_class": [
-            {"class": dataset.class_names[c], **scores["per_class"][c], "auc": auc["per_class"][c]}
-            for c in range(k)
-        ],
+        **payload,
         "macro_auc": auc["macro"],
-        "confusion_matrix": cm.tolist(),
         "theory": theory_report(progression, test_logits),
         "progression": progression,
         "deltas": deltas(progression),
@@ -131,43 +133,53 @@ def _replacing(path):
             os.remove(tmp)
 
 
-def _write_json(path, payload):
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-
-
-def _write_text(path, text):
-    with open(path, "w") as f:
+def _publish(path, text):
+    """Write the text artifact `path` through `_replacing`."""
+    with _replacing(path) as tmp, open(tmp, "w", newline="") as f:
         f.write(text)
 
 
-def _write_progression_csv(path, dataset_name, progression):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["dataset", "stage", "train_acc", "test_acc",
-                         "train_loss", "test_loss", "delta_prev"])
-        prev = None
-        for row in progression:
-            delta = "" if prev is None else f"{row['test_acc'] - prev:.6f}"
-            writer.writerow([dataset_name, row["stage"],
-                             f"{row['train_acc']:.6f}", f"{row['test_acc']:.6f}",
-                             f"{row['train_loss']:.6f}", f"{row['test_loss']:.6f}", delta])
-            prev = row["test_acc"]
+def _csv(header, rows):
+    """`header`, then `rows`, as the text that `csv.writer` writes."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
 
 
-def _write_timing_csv(path, chain: ChainResult):
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["stage", "steps_per_epoch", "ms_per_step", "epochs_run", "row_blocks"])
-        for i, r in enumerate(chain.stage_results):
-            writer.writerow([f"M{i + 1}", r.steps_per_epoch,
-                             f"{r.ms_per_step:.3f}", len(r.epoch_curves), r.row_blocks])
+_SCORES = ("train_acc", "test_acc", "train_loss", "test_loss")
+
+
+def _progression_csv(dataset_name, progression):
+    acc = [row["test_acc"] for row in progression]
+    gains = [""] + [f"{b - a:.6f}" for a, b in zip(acc, acc[1:])]
+    return _csv(["dataset", "stage", *_SCORES, "delta_prev"],
+                [[dataset_name, row["stage"], *(f"{row[key]:.6f}" for key in _SCORES), gain]
+                 for row, gain in zip(progression, gains)])
+
+
+def _timing_csv(chain: ChainResult):
+    return _csv(["stage", "steps_per_epoch", "ms_per_step", "epochs_run", "row_blocks"],
+                [[f"M{i + 1}", r.steps_per_epoch, f"{r.ms_per_step:.3f}", len(r.epoch_curves),
+                  r.row_blocks] for i, r in enumerate(chain.stage_results)])
 
 
 def _dataset_name(cfg: ExperimentConfig):
     if "synthetic" in cfg.dataset:
         return "synthetic"
     return os.path.basename(cfg.dataset["idx"]["images"])
+
+
+def _prepare(cfg: ExperimentConfig, out_dir):
+    """(dataset, split, backbone, run directory) of a run. Whatever can reject
+    the config or the data runs before the run directory exists."""
+    dataset = load_dataset(cfg)
+    split = partition(dataset, cfg.partition_seed)
+    backbone = backbone_for(cfg, dataset)
+    out_dir = out_dir or cfg.output_dir
+    os.makedirs(out_dir, exist_ok=True)
+    return dataset, split, backbone, out_dir
 
 
 def _run_one_seed(cfg, dataset, split, backbone, seed, out_dir):
@@ -180,26 +192,18 @@ def _run_one_seed(cfg, dataset, split, backbone, seed, out_dir):
             save_checkpoint(model, tmp)
     progression, test_logits = score_chain(models, dataset, split)
     payload = _metrics_payload(progression, test_logits, dataset, split)
-    with _replacing(os.path.join(out_dir, "chain_progression.csv")) as tmp:
-        _write_progression_csv(tmp, _dataset_name(cfg), progression)
-    with _replacing(os.path.join(out_dir, "timing.csv")) as tmp:
-        _write_timing_csv(tmp, chain)
+    _publish(os.path.join(out_dir, "chain_progression.csv"),
+             _progression_csv(_dataset_name(cfg), progression))
+    _publish(os.path.join(out_dir, "timing.csv"), _timing_csv(chain))
     # written last: its presence marks the seed's run as finished
-    with _replacing(os.path.join(out_dir, "metrics.json")) as tmp:
-        _write_json(tmp, payload)
+    _publish(os.path.join(out_dir, "metrics.json"), json.dumps(payload, indent=2, sort_keys=True))
     return payload
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None):
     """Run the chain for every seed in repeat_seeds; emit all run artifacts."""
-    out_dir = out_dir or cfg.output_dir
-    # whatever can reject the config or the data runs before the run directory exists
-    dataset = load_dataset(cfg)
-    split = partition(dataset, cfg.partition_seed)
-    backbone = backbone_for(cfg, dataset)
-    os.makedirs(out_dir, exist_ok=True)
-    with _replacing(os.path.join(out_dir, "config_resolved.json")) as tmp:
-        _write_text(tmp, canonical_config(cfg))
+    dataset, split, backbone, out_dir = _prepare(cfg, out_dir)
+    _publish(os.path.join(out_dir, "config_resolved.json"), canonical_config(cfg))
     if len(cfg.repeat_seeds) == 1:
         return _run_one_seed(cfg, dataset, split, backbone, cfg.repeat_seeds[0], out_dir)
     summary = {}
@@ -208,49 +212,36 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None):
                                 os.path.join(out_dir, f"seed_{seed}"))
         summary[str(seed)] = {"accuracy": payload["accuracy"],
                               "deltas": payload["deltas"]}
-    with _replacing(os.path.join(out_dir, "summary.json")) as tmp:
-        _write_json(tmp, summary)
+    _publish(os.path.join(out_dir, "summary.json"), json.dumps(summary, indent=2, sort_keys=True))
     return summary
+
+
+def _trial_config(train, params):
+    """`train` with a TPE trial's (eta, alpha, temp) as its learning rate, alpha and t_max."""
+    eta, alpha, temp = params
+    return replace(train, learning_rate=eta,
+                   distill=replace(train.distill, alpha=alpha, t_max=temp))
 
 
 def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
     """TPE study over (eta, alpha, t_max); objective is the last model's validation accuracy."""
-    out_dir = out_dir or cfg.output_dir
     if n_trials < 1:
         raise ContractError(f"n_trials must be >= 1, got {n_trials}")
-    dataset = load_dataset(cfg)
-    split = partition(dataset, cfg.partition_seed)
-    backbone = backbone_for(cfg, dataset)
-    os.makedirs(out_dir, exist_ok=True)
-    base_train = cfg.train
+    dataset, split, backbone, out_dir = _prepare(cfg, out_dir)
 
-    def objective(eta, alpha, temp):
-        train_cfg = replace(
-            base_train,
-            learning_rate=eta,
-            distill=replace(base_train.distill, alpha=alpha, t_max=temp),
-        )
-        last = run_chain(dataset, split, train_cfg, backbone).stage_results[-1]
+    def objective(*params):
+        train = _trial_config(cfg.train, params)
+        last = run_chain(dataset, split, train, backbone).stage_results[-1]
         # its validation accuracy at the epoch whose parameters it kept
         return last.epoch_curves[last.best_epoch]["val_acc"]
 
     best, trials = run_study(objective, SearchSpace(), n_trials, cfg.hyperopt["seed"])
-    with _replacing(os.path.join(out_dir, "trials.csv")) as tmp, open(tmp, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["trial_index", "eta", "alpha", "temp", "objective", "status"])
-        for t in trials:
-            writer.writerow([t.trial_index, f"{t.params[0]:.6g}", f"{t.params[1]:.6g}",
-                             f"{t.params[2]:.6g}",
-                             "" if not np.isfinite(t.objective) else f"{t.objective:.6f}",
-                             t.status])
-    best_cfg = replace(
-        cfg,
-        train=replace(base_train, learning_rate=best.params[0],
-                      distill=replace(base_train.distill, alpha=best.params[1],
-                                      t_max=best.params[2])),
-    )
-    with _replacing(os.path.join(out_dir, "best-config.json")) as tmp:
-        _write_text(tmp, canonical_config(best_cfg))
+    _publish(os.path.join(out_dir, "trials.csv"), _csv(
+        ["trial_index", "eta", "alpha", "temp", "objective", "status"],
+        [[t.trial_index, *(f"{p:.6g}" for p in t.params),
+          f"{t.objective:.6f}" if np.isfinite(t.objective) else "", t.status] for t in trials]))
+    _publish(os.path.join(out_dir, "best-config.json"),
+             canonical_config(replace(cfg, train=_trial_config(cfg.train, best.params))))
     return best, trials
 
 
@@ -261,13 +252,8 @@ def evaluate_model(model, dataset):
     that lacks the top classes still gets a K x K confusion matrix.
     """
     probs = softmax_temperature(logits_of(model, dataset, np.arange(len(dataset))), 1.0)
-    cm, scores, auc = _classify(probs, dataset.labels, model.num_classes)
     return {
-        "accuracy": scores["accuracy"],
+        **_classify(probs, dataset.labels, model.num_classes),
         "loss": ce_loss(probs, dataset.labels),  # `loss_accuracy`'s CE, from the same softmax
-        "macro": scores["macro"],
-        "weighted": scores["weighted"],
-        "per_class": scores["per_class"],
-        "auc": auc,
-        "confusion_matrix": cm.tolist(),
+        "auc": roc_auc_ovr(probs, dataset.labels),
     }

@@ -243,6 +243,13 @@ class _Node:
         self.vjps = vjps  # tuple of (parent_node, fn: grad_out -> grad_parent)
         self.name = name  # set only for trainable parameters
 
+    def __getattr__(self, name):
+        # reached only when a slot is empty: `Tape.backward` deletes each value it frees
+        if name == "value":
+            raise ContractError("this node's value was freed by its tape's backward sweep; "
+                                "a tape is swept once: record a new tape")
+        raise AttributeError(name)
+
 
 def _cpus():
     """The CPUs this process may run on."""
@@ -451,7 +458,7 @@ class Tape:
             if not vjps:
                 continue  # a leaf: a parameter keeps its gradient in `grads`
             if node is not root:
-                node.value = None
+                del node.value
             g = grads.pop(id(node), None)
             if g is None:
                 continue

@@ -283,12 +283,14 @@ SIZE_DOCUMENTS = [
     ({"backbone": {"conv_blocks": [0]}}, "$.backbone.conv_blocks"),
     ({"backbone": {"conv_blocks": [4] * 6}}, "$.backbone.conv_blocks"),  # 32x32 collapses
     ({"dataset": {"synthetic": {"n": 20}}}, "$.dataset.synthetic.n"),
+    ({"dataset": {"synthetic": {"classes": 9}}}, "$.dataset.synthetic.classes"),
 ]
 
 
 @pytest.mark.parametrize("command", ["train", "tune"])
 @pytest.mark.parametrize("doc, path", SIZE_DOCUMENTS,
-                         ids=["fc_width", "conv_blocks_zero", "conv_blocks_collapse", "n"])
+                         ids=["fc_width", "conv_blocks_zero", "conv_blocks_collapse", "n",
+                              "classes"])
 def test_bad_size_is_usage_error_before_the_run_directory(tmp_path, capsys, command, doc, path):
     out_dir = tmp_path / "run"
     assert main([command, "--config", write_config(tmp_path, doc), "--out-dir", str(out_dir)]) == 2

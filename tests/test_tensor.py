@@ -207,7 +207,10 @@ def test_backward_frees_the_graph_as_it_passes(monkeypatch):
         # the tape is still alive, but nothing it recorded for the sweep is
         assert saved_cols and all(ref() is None for ref in saved_cols)
         assert all(ref() is None for ref in activations)
-        assert all(node.value is None and node.vjps == () for node in ops)
+        for node in ops:
+            assert node.vjps == ()
+            with pytest.raises(ContractError, match="swept once"):
+                node.value
         assert logits.value.shape == (2, 3)
         for name, value in model.params.items():
             assert tape._params[name].value is value
@@ -223,6 +226,16 @@ def test_a_tape_is_swept_once():
     np.testing.assert_array_equal(tape.backward(out, np.ones(2))["x"], [1.0, 0.0])
     with pytest.raises(ContractError, match="swept once"):
         tape.backward(out, np.ones(2))
+
+
+def test_an_op_on_a_node_the_sweep_freed_names_the_one_sweep_contract():
+    tape = Tape()
+    h = tape.relu(tape.param("x", np.array([1.0, -1.0])))
+    out = tape.relu(h)
+    tape.backward(out, np.ones(2))
+    with pytest.raises(ContractError, match="swept once"):
+        tape.relu(h)
+    assert hasattr(h, "name") and not hasattr(h, "values")
 
 
 def test_sgd_step_plain():
