@@ -26,6 +26,16 @@ its block, so the results are the same bits for any CPU count. Every other
 tape op runs on the calling thread over the whole batch. The pure functions
 run on whatever thread calls them: `backbone.forward` gives each CPU a run of
 whole row tiles through `_on_blocks`.
+
+A tape keeps only what its backward sweep reads. The conv weight gradient
+rebuilds each image block's im2col columns from the conv input, which the
+tape holds anyway, in the same handoff that makes the block's input
+gradient, and runs the same GEMMs over them, so no columns outlive their
+forward. relu and maxpool2 are the one reader of an op output's value
+(conv -> maxpool2 -> relu in the backbone) and their VJPs read only masks, so
+each releases its input's value once its forward has read it; parameters and
+constants are never released. Reading a released value raises ContractError
+naming the release.
 """
 from __future__ import annotations
 
@@ -142,12 +152,10 @@ def _conv2d_checked(x, w, b, stride, pad):
 
 def _conv_images(x, w, b, out):
     """Writes the conv of images x (B, C, H, W) into out (B, F, H*W), one GEMM
-    per image with the (F, C*k*k) kernel matrix; returns x's im2col columns."""
+    per image with the (F, C*k*k) kernel matrix."""
     F, k = w.shape[0], w.shape[2]
-    cols = _im2col(x, k)
-    np.matmul(w.reshape(F, -1), cols, out=out)
+    np.matmul(w.reshape(F, -1), _im2col(x, k), out=out)
     out += b.reshape(F, 1)
-    return cols
 
 
 def conv2d(x, w, b, stride=1, pad=0):
@@ -236,18 +244,24 @@ def scale_spatial(f, a):
 # ---------------------------------------------------------------------------
 
 class _Node:
-    __slots__ = ("value", "vjps", "name")
+    __slots__ = ("value", "vjps", "name", "released_by")
 
     def __init__(self, value, vjps=(), name=None):
         self.value = value
         self.vjps = vjps  # tuple of (parent_node, fn: grad_out -> grad_parent)
         self.name = name  # set only for trainable parameters
+        self.released_by = None  # what deleted `value`, once something has
+
+    def release(self, by):
+        """Deletes the value, naming `by` as its releaser; a second release is a no-op."""
+        if self.released_by is None:
+            del self.value
+            self.released_by = by
 
     def __getattr__(self, name):
-        # reached only when a slot is empty: `Tape.backward` deletes each value it frees
+        # reached only when a slot is empty: `release` deletes the value
         if name == "value":
-            raise ContractError("this node's value was freed by its tape's backward sweep; "
-                                "a tape is swept once: record a new tape")
+            raise ContractError(f"this node's value was released by {self.released_by}")
         raise AttributeError(name)
 
 
@@ -290,6 +304,13 @@ class Tape:
 
     Nodes are appended in execution order, so the list itself is the
     topological order; backward walks it once in reverse.
+
+    The tape keeps what the sweep reads: the values its VJPs take (conv and
+    dense inputs, the gate's features, pool and relu masks) and no im2col
+    columns, which the conv weight gradient rebuilds from the conv input. An
+    op output read by relu or maxpool2 is released once that op's forward has
+    read it, so record any other reader of such a node before the relu or
+    maxpool2 that reads it.
     """
 
     def __init__(self):
@@ -318,40 +339,60 @@ class Tape:
         (B, C, H, W), (F, _, k, _) = xv.shape, wv.shape
         blocks = _image_blocks(B)
         out = np.empty((B, F, H * W), dtype=xv.dtype)
-        cols = _on_blocks(lambda lo, hi: _conv_images(xv[lo:hi], wv, bv, out[lo:hi]), blocks)
+        _on_blocks(lambda lo, hi: _conv_images(xv[lo:hi], wv, bv, out[lo:hi]), blocks)
         w2 = wv.reshape(F, -1)
 
-        def vjp_x(g):
+        def weight_grad(g, dxf=None):
+            # one handoff: each image block adds its input gradient onto dxf, if
+            # given, then takes its per-image (F, H*W) @ (H*W, C*k*k) terms over
+            # columns rebuilt from its images; the terms are summed once over the batch
             g3 = g.reshape(B, F, -1)
+            terms = np.empty((B, F, C * k * k), dtype=g.dtype)
+
+            def block(lo, hi):
+                if dxf is not None:
+                    _col2im(np.matmul(w2.T, g3[lo:hi]), dxf[lo:hi], W, k)
+                np.matmul(g3[lo:hi], _im2col(xv[lo:hi], k).transpose(0, 2, 1), out=terms[lo:hi])
+
+            _on_blocks(block, blocks)
+            return terms.sum(axis=0).reshape(wv.shape)
+
+        dw = []  # the weight gradient that vjp_x made along with the input gradient
+
+        def vjp_x(g):
             head = k // 2 * (1 + W)
             dxf = np.zeros((B, C, H * W + 2 * head), dtype=g.dtype)
-            _on_blocks(lambda lo, hi: _col2im(np.matmul(w2.T, g3[lo:hi]), dxf[lo:hi], W, k),
-                       blocks)
+            dw.append(weight_grad(g, dxf))
             return dxf[:, :, head:head + H * W].reshape(B, C, H, W)
 
         def vjp_w(g):
-            # per-image (F, H*W) @ (H*W, C*k*k), summed once over the batch
-            g3 = g.reshape(B, F, -1)
-            terms = np.empty((B, F, C * k * k), dtype=g.dtype)
-            _on_blocks(lambda lo, hi, c: np.matmul(g3[lo:hi], c.transpose(0, 2, 1),
-                                                   out=terms[lo:hi]),
-                       [block + (c,) for block, c in zip(blocks, cols)])
-            return terms.sum(axis=0).reshape(wv.shape)
+            # the sweep runs vjp_x first, on the same g, unless x is a constant
+            return dw.pop() if dw else weight_grad(g)
 
         def vjp_b(g):
             return g.sum(axis=(0, 2, 3))
 
         return self._add(_Node(out.reshape(B, F, H, W), ((x, vjp_x), (w, vjp_w), (b, vjp_b))))
 
+    @staticmethod
+    def _read_once(x, op):
+        """Releases x's value, which `op` has read, if x is an op output."""
+        if x.vjps:
+            x.release(f"the forward of {op}, its one reader: record every other reader "
+                      f"of an op output before the {op} that reads it")
+
     def relu(self, x):
         mask = x.value > 0
-        return self._add(_Node(x.value * mask, ((x, lambda g: g * mask),)))
+        out = x.value * mask
+        self._read_once(x, "relu")
+        return self._add(_Node(out, ((x, lambda g: g * mask),)))
 
     def maxpool2(self, x):
         xv = x.value
-        B, C, H, W = xv.shape
+        shape, dtype = xv.shape, xv.dtype
+        B, C, H, W = shape
         blocks = _image_blocks(B)
-        out = np.empty((B, C, H // 2, W // 2), dtype=xv.dtype)
+        out = np.empty((B, C, H // 2, W // 2), dtype=dtype)
         # the first of each tied pair wins: with columns paired before rows
         # that is the window's first max in row-major order
         first_col = np.empty((B, C, H // 2 * 2, W // 2), dtype=bool)
@@ -365,9 +406,10 @@ class Tape:
             np.maximum(top, bottom, out=out[lo:hi])
 
         _on_blocks(forward, blocks)
+        self._read_once(x, "maxpool2")
 
         def vjp(g):
-            dx = (np.zeros if H % 2 or W % 2 else np.empty)(xv.shape, dtype=xv.dtype)
+            dx = (np.zeros if H % 2 or W % 2 else np.empty)(shape, dtype=dtype)
 
             def backward(lo, hi):
                 dleft, dright = _col_pairs(dx[lo:hi])
@@ -438,10 +480,11 @@ class Tape:
         leaves (`const`) get none: their VJPs are never run.
 
         The sweep frees the graph as it passes: each node it reaches gives up
-        its VJPs and its value, which go, with the arrays the VJPs kept (im2col
-        columns, pool masks, activations), once the VJPs have run. Only the
-        parameters and the root keep their values, so a tape is swept once: a
-        second call raises ContractError.
+        its VJPs and its value (unless its relu or maxpool2 reader has released
+        it already), which go, with the arrays the VJPs kept (pool and relu
+        masks, activations), once the VJPs have run. Only the parameters and the
+        root keep their values, so a tape is swept once: a second call raises
+        ContractError.
         """
         if self._swept:
             raise ContractError("this tape has been swept once; record a new tape")
@@ -458,7 +501,7 @@ class Tape:
             if not vjps:
                 continue  # a leaf: a parameter keeps its gradient in `grads`
             if node is not root:
-                del node.value
+                node.release("its tape's backward sweep; a tape is swept once: record a new tape")
             g = grads.pop(id(node), None)
             if g is None:
                 continue

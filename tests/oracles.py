@@ -1,11 +1,12 @@
-"""Reference code that only the tests run: the gradient oracle and the
-single-model baseline that the chain is compared against."""
+"""Reference code that only the tests run: the gradient oracle, the conv
+weight gradient over columns kept from the forward, and the single-model
+baseline that the chain is compared against."""
 from dataclasses import replace
 
 import numpy as np
 
 from weckd.backbone import BackboneConfig, build_model
-from weckd.tensor import ContractError, NumericError
+from weckd.tensor import ContractError, NumericError, _im2col, _image_blocks
 from weckd.training import StageResult, TrainConfig, _default_backbone, _f_base_seed, _train_loop
 
 
@@ -50,6 +51,22 @@ def finite_diff_check(forward_fn, grad_fn, params, eps=1e-5,
             if err > max_err:
                 max_err = err
     return max_err
+
+
+def kept_columns_weight_grad(x, w, g):
+    """The weight gradient of a stride-1 same-padded conv of x (B, C, H, W) with
+    w (F, C, k, k) at output gradient g (B, F, H, W), from im2col columns made
+    once per image block in the forward and kept: per-image (F, H*W) @
+    (H*W, C*k*k) products into one (B, F, C*k*k) buffer, summed once over the
+    batch. `Tape.conv2d` rebuilds the columns instead and must match it bit for bit."""
+    (B, C, _, _), (F, _, k, _) = x.shape, w.shape
+    blocks = _image_blocks(B)
+    cols = [_im2col(x[lo:hi], k) for lo, hi in blocks]
+    g3 = g.reshape(B, F, -1)
+    terms = np.empty((B, F, C * k * k), dtype=g.dtype)
+    for (lo, hi), c in zip(blocks, cols):
+        np.matmul(g3[lo:hi], c.transpose(0, 2, 1), out=terms[lo:hi])
+    return terms.sum(axis=0).reshape(w.shape)
 
 
 def train_single_baseline(dataset, split, cfg: TrainConfig,

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -24,7 +25,7 @@ from weckd.tensor import (
 from weckd.backbone import BackboneConfig, build_model, forward_on_tape
 from weckd.losses import hybrid_loss, hybrid_loss_grad
 
-from oracles import finite_diff_check
+from oracles import finite_diff_check, kept_columns_weight_grad
 
 
 def test_conv2d_scalar_product():
@@ -183,31 +184,57 @@ def test_a_tape_is_freed_by_reference_counting():
         gc.enable()
 
 
+def _owner(array):
+    """The array that owns `array`'s memory, so a dead weakref means freed memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
 def test_backward_frees_the_graph_as_it_passes(monkeypatch):
+    # the tape keeps what the sweep reads: no im2col columns, and no conv or
+    # pool output once its one reader (maxpool2, relu) has run; the sweep then
+    # frees the rest, all but the root and the parameters
     import weckd.tensor
     cfg = BackboneConfig(input_size=(8, 8, 1), conv_blocks=(2, 3), fc_width=4,
                          num_classes=3, attention_enabled=True)
     model = build_model(cfg)
-    saved_cols = []
-    real = weckd.tensor._conv_images
+    cols, read_once = [], []
+    im2col = weckd.tensor._im2col
 
-    def recording_conv_images(*args):
-        cols = real(*args)
-        saved_cols.append(weakref.ref(cols))
-        return cols
+    def recording_im2col(*args):
+        out = im2col(*args)
+        cols.append(weakref.ref(_owner(out)))
+        return out
 
-    monkeypatch.setattr(weckd.tensor, "_conv_images", recording_conv_images)
+    monkeypatch.setattr(weckd.tensor, "_im2col", recording_im2col)
+    for op in ("conv2d", "maxpool2"):
+        def recording_op(self, *args, op=getattr(Tape, op), **kwargs):
+            node = op(self, *args, **kwargs)
+            read_once.append((node, weakref.ref(_owner(node.value))))
+            return node
+
+        monkeypatch.setattr(Tape, op, recording_op)
     gc.disable()
     try:
         tape = Tape()
         logits = forward_on_tape(model, tape, np.ones((2, 1, 8, 8)))
-        ops = [node for node in tape._nodes if node.vjps and node is not logits]
-        activations = [weakref.ref(node.value) for node in ops]
+        forward_cols = len(cols)  # one array per conv and image block
+        assert forward_cols >= 2 and all(ref() is None for ref in cols)
+        assert len(read_once) == 4 and all(ref() is None for _, ref in read_once)
+        for node, _ in read_once:
+            with pytest.raises(ContractError, match=r"forward of (maxpool2|relu)"):
+                node.value
+        # the first FC's output went too, read once by its relu
+        others = [node for node in tape._nodes
+                  if node.vjps and node is not logits and node.released_by is None]
+        activations = [weakref.ref(_owner(node.value)) for node in others]
         tape.backward(logits, np.ones((2, 3)))
         # the tape is still alive, but nothing it recorded for the sweep is
-        assert saved_cols and all(ref() is None for ref in saved_cols)
-        assert all(ref() is None for ref in activations)
-        for node in ops:
+        # the weight gradient rebuilt each conv's columns, which went with it
+        assert len(cols) == 2 * forward_cols and all(ref() is None for ref in cols)
+        assert others and all(ref() is None for ref in activations)
+        for node in others:
             assert node.vjps == ()
             with pytest.raises(ContractError, match="swept once"):
                 node.value
@@ -216,6 +243,95 @@ def test_backward_frees_the_graph_as_it_passes(monkeypatch):
             assert tape._params[name].value is value
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("op", ["maxpool2", "relu"])
+def test_a_second_reader_of_a_released_node_names_the_release(op):
+    tape = Tape()
+    h = tape.conv2d(tape.const(np.ones((1, 1, 4, 4))), tape.param("w", np.ones((1, 1, 3, 3))),
+                    tape.param("b", np.zeros(1)), pad=1)
+    out = getattr(tape, op)(h)
+    with pytest.raises(ContractError, match=f"forward of {op}"):
+        tape.relu(h)
+    tape.backward(out, np.ones(out.value.shape))  # the sweep skips the released value
+    with pytest.raises(ContractError, match=f"forward of {op}"):
+        tape.maxpool2(h)
+
+
+def _kept_bytes(cfg, batch, itemsize):
+    """Bytes of what a sweep reads of a tape over `cfg`: per conv block the two
+    pool masks, the relu mask and the relu output; the gate's scores, their
+    sigmoid derivative and its scaled output; the GAP output, the FC relu's mask
+    and output, and the logits."""
+    (h, w, _), total = cfg.input_size, 0
+    for f in cfg.conv_blocks:
+        pooled = batch * f * (h // 2) * (w // 2)
+        total += batch * f * h * (w // 2) + pooled + pooled + pooled * itemsize
+        h, w = h // 2, w // 2
+    total += (2 * batch * h * w + pooled) * itemsize
+    total += (batch * cfg.conv_blocks[-1] + batch * cfg.fc_width
+              + batch * cfg.num_classes) * itemsize + batch * cfg.fc_width
+    return total
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_tape_holds_what_its_sweep_reads_and_a_step_peaks_below_two_column_buffers(
+        cpus, monkeypatch):
+    # the default backbone at B=64, f64, attention on: the tape keeps no conv
+    # columns and no conv or pool output, so after the forward it holds its
+    # masks and kept activations plus Python objects; a whole step adds at most
+    # the widest conv's columns and as much again for what rides with them
+    # (the GEMM terms, the conv output and its gradient)
+    import weckd.tensor
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+    cfg = BackboneConfig(input_size=(32, 32, 1), num_classes=4, attention_enabled=True)
+    model = build_model(cfg)
+    rng = np.random.default_rng(0)
+    x, y = rng.random((64, 1, 32, 32)), rng.integers(0, 4, 64)
+    kept = _kept_bytes(cfg, 64, x.itemsize)
+    h, w, c = cfg.input_size
+    widest = 0
+    for f in cfg.conv_blocks:
+        widest = max(widest, 64 * c * 9 * h * w * x.itemsize)
+        h, w, c = h // 2, w // 2, f
+
+    def step():
+        tape = Tape()
+        logits = forward_on_tape(model, tape, x)
+        held = tracemalloc.get_traced_memory()[0]
+        z = logits.value
+        tape.backward(logits, hybrid_loss_grad(z, z, y, 0.5, 4.0))
+        return held
+
+    step()  # warm-up: the image-block pool and numpy's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        held = step() - base
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert kept <= held <= kept + (256 << 10), (held, kept)
+    assert peak <= kept + 2 * widest, (peak, kept, widest)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_conv_weight_gradient_over_rebuilt_columns_keeps_the_kept_columns_bits(
+        dtype, batch, cpus, monkeypatch):
+    import weckd.tensor
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 5, 9, 7)).astype(dtype)
+    w = rng.normal(size=(6, 5, 3, 3)).astype(dtype)
+    g = rng.normal(size=(batch, 6, 9, 7)).astype(dtype)
+    tape = Tape()
+    out = tape.conv2d(tape.const(x), tape.param("w", w), tape.param("b", np.zeros(6, dtype)),
+                      pad=1)
+    grad = tape.backward(out, g)["w"]
+    assert grad.dtype == dtype
+    assert np.array_equal(grad, kept_columns_weight_grad(x, w, g))
 
 
 def test_a_tape_is_swept_once():
@@ -230,9 +346,10 @@ def test_a_tape_is_swept_once():
 
 def test_an_op_on_a_node_the_sweep_freed_names_the_one_sweep_contract():
     tape = Tape()
-    h = tape.relu(tape.param("x", np.array([1.0, -1.0])))
-    out = tape.relu(h)
-    tape.backward(out, np.ones(2))
+    h = tape.relu(tape.param("x", np.array([[1.0, -1.0]])))
+    # dense reads h without releasing it, so the sweep is what frees h
+    out = tape.dense(h, tape.param("w", np.ones((2, 1))), tape.param("b", np.zeros(1)))
+    tape.backward(out, np.ones((1, 1)))
     with pytest.raises(ContractError, match="swept once"):
         tape.relu(h)
     assert hasattr(h, "name") and not hasattr(h, "values")
