@@ -120,11 +120,11 @@ def _layers(ops, p, x, config):
     spatial gate, GAP, FC-relu, FC. `ops` is the `tensor` module (inference,
     arrays) or a `Tape` (training, nodes). Returns the logits."""
     for i in range(len(config.conv_blocks)):
-        x = ops.conv2d(x, p[f"conv{i}_w"], p[f"conv{i}_b"], stride=1, pad=1)
         # relu is monotone, so it commutes with max: pooling first gives the
         # same values (and, with first-max masks, the same gradients up to the
-        # sign of zero) while relu runs on a quarter of the elements
-        x = ops.relu(ops.maxpool2(x))
+        # sign of zero) while relu runs on a quarter of the elements. Nesting
+        # the calls frees the conv output as soon as maxpool2 returns
+        x = ops.relu(ops.maxpool2(ops.conv2d(x, p[f"conv{i}_w"], p[f"conv{i}_b"], stride=1, pad=1)))
     if config.attention_enabled:
         scores = ops.attention_scores(x, p["w_att"], p["b_att"])
         x = ops.scale_spatial(x, scores)

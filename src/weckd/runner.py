@@ -240,8 +240,10 @@ def tune_experiment(cfg: ExperimentConfig, n_trials, out_dir=None):
         ["trial_index", "eta", "alpha", "temp", "objective", "status"],
         [[t.trial_index, *(f"{p:.6g}" for p in t.params),
           f"{t.objective:.6f}" if np.isfinite(t.objective) else "", t.status] for t in trials]))
+    # every trial trained with train.seed, so that is the one seed that re-runs the best
     _publish(os.path.join(out_dir, "best-config.json"),
-             canonical_config(replace(cfg, train=_trial_config(cfg.train, best.params))))
+             canonical_config(replace(cfg, train=_trial_config(cfg.train, best.params),
+                                      repeat_seeds=[cfg.train.seed])))
     return best, trials
 
 

@@ -27,15 +27,11 @@ tape op runs on the calling thread over the whole batch. The pure functions
 run on whatever thread calls them: `backbone.forward` gives each CPU a run of
 whole row tiles through `_on_blocks`.
 
-A tape keeps only what its backward sweep reads. The conv weight gradient
-rebuilds each image block's im2col columns from the conv input, which the
-tape holds anyway, in the same handoff that makes the block's input
-gradient, and runs the same GEMMs over them, so no columns outlive their
-forward. relu and maxpool2 are the one reader of an op output's value
-(conv -> maxpool2 -> relu in the backbone) and their VJPs read only masks, so
-each releases its input's value once its forward has read it; parameters and
-constants are never released. Reading a released value raises ContractError
-naming the release.
+A tape holds what its VJPs close over, and nothing else. It records each
+op's VJPs, not its output: a value lives in the node its caller holds and in
+any VJP that closed over it, so reference counting frees it once neither
+needs it. The conv weight gradient rebuilds its im2col columns from the conv
+input, which its VJP holds anyway, so no columns outlive their forward.
 """
 from __future__ import annotations
 
@@ -244,25 +240,11 @@ def scale_spatial(f, a):
 # ---------------------------------------------------------------------------
 
 class _Node:
-    __slots__ = ("value", "vjps", "name", "released_by")
+    __slots__ = ("value", "index")
 
-    def __init__(self, value, vjps=(), name=None):
+    def __init__(self, value, index=None):
         self.value = value
-        self.vjps = vjps  # tuple of (parent_node, fn: grad_out -> grad_parent)
-        self.name = name  # set only for trainable parameters
-        self.released_by = None  # what deleted `value`, once something has
-
-    def release(self, by):
-        """Deletes the value, naming `by` as its releaser; a second release is a no-op."""
-        if self.released_by is None:
-            del self.value
-            self.released_by = by
-
-    def __getattr__(self, name):
-        # reached only when a slot is empty: `release` deletes the value
-        if name == "value":
-            raise ContractError(f"this node's value was released by {self.released_by}")
-        raise AttributeError(name)
+        self.index = index  # position on the tape; None for a constant
 
 
 def _cpus():
@@ -302,35 +284,31 @@ def _on_blocks(fn, blocks):
 class Tape:
     """Records the forward pass of the closed layer set for one backward sweep.
 
-    Nodes are appended in execution order, so the list itself is the
-    topological order; backward walks it once in reverse.
-
-    The tape keeps what the sweep reads: the values its VJPs take (conv and
-    dense inputs, the gate's features, pool and relu masks) and no im2col
-    columns, which the conv weight gradient rebuilds from the conv input. An
-    op output read by relu or maxpool2 is released once that op's forward has
-    read it, so record any other reader of such a node before the relu or
-    maxpool2 that reads it.
+    The tape holds what its VJPs close over: per node, in execution order, its
+    VJPs, each with its parent's index, so the list itself is the topological
+    order and backward walks it once in reverse. A constant parent's VJP is
+    not kept, as nothing reads its gradient.
     """
 
     def __init__(self):
-        self._nodes = []
+        self._vjps = []  # per node: ((parent index, fn: grad_out -> grad_parent), ...)
         self._params = {}  # name -> node
         self._swept = False
 
-    def _add(self, node):
-        self._nodes.append(node)
-        return node
+    def _add(self, value, vjps=()):
+        if self._swept:
+            raise ContractError("this tape has been swept once; record a new tape")
+        self._vjps.append(tuple((p.index, fn) for p, fn in vjps if p.index is not None))
+        return _Node(value, len(self._vjps) - 1)
 
     def param(self, name, value):
         if name in self._params:
             raise ContractError(f"parameter {name!r} already on tape")
-        node = self._add(_Node(np.asarray(value), name=name))
-        self._params[name] = node
+        node = self._params[name] = self._add(np.asarray(value))
         return node
 
     def const(self, value):
-        return self._add(_Node(np.asarray(value)))
+        return _Node(np.asarray(value))
 
     # -- recorded ops -------------------------------------------------------
 
@@ -372,20 +350,11 @@ class Tape:
         def vjp_b(g):
             return g.sum(axis=(0, 2, 3))
 
-        return self._add(_Node(out.reshape(B, F, H, W), ((x, vjp_x), (w, vjp_w), (b, vjp_b))))
-
-    @staticmethod
-    def _read_once(x, op):
-        """Releases x's value, which `op` has read, if x is an op output."""
-        if x.vjps:
-            x.release(f"the forward of {op}, its one reader: record every other reader "
-                      f"of an op output before the {op} that reads it")
+        return self._add(out.reshape(B, F, H, W), ((x, vjp_x), (w, vjp_w), (b, vjp_b)))
 
     def relu(self, x):
         mask = x.value > 0
-        out = x.value * mask
-        self._read_once(x, "relu")
-        return self._add(_Node(out, ((x, lambda g: g * mask),)))
+        return self._add(x.value * mask, ((x, lambda g: g * mask),))
 
     def maxpool2(self, x):
         xv = x.value
@@ -406,7 +375,6 @@ class Tape:
             np.maximum(top, bottom, out=out[lo:hi])
 
         _on_blocks(forward, blocks)
-        self._read_once(x, "maxpool2")
 
         def vjp(g):
             dx = (np.zeros if H % 2 or W % 2 else np.empty)(shape, dtype=dtype)
@@ -424,24 +392,24 @@ class Tape:
             _on_blocks(backward, blocks)
             return dx
 
-        return self._add(_Node(out, ((x, vjp),)))
+        return self._add(out, ((x, vjp),))
 
     def dense(self, x, w, b):
         out = dense(x.value, w.value, b.value)
         xv, wv = x.value, w.value
-        return self._add(_Node(out, (
+        return self._add(out, (
             (x, lambda g: g @ wv.T),
             (w, lambda g: xv.T @ g),
             (b, lambda g: g.sum(axis=0)),
-        )))
+        ))
 
     def gap(self, x):
         out = gap(x.value)
         B, C, H, W = x.value.shape
         scale = 1.0 / (H * W)
-        return self._add(_Node(out, (
+        return self._add(out, (
             (x, lambda g: np.broadcast_to((g * scale)[:, :, None, None], (B, C, H, W)).copy()),
-        )))
+        ))
 
     def attention_scores(self, f, w, b):
         fv = f.value
@@ -459,16 +427,16 @@ class Tape:
         def vjp_b(g):
             return np.full(bshape, (g * ds).sum())
 
-        return self._add(_Node(out, ((f, vjp_f), (w, vjp_w), (b, vjp_b))))
+        return self._add(out, ((f, vjp_f), (w, vjp_w), (b, vjp_b)))
 
     def scale_spatial(self, f, a):
         """Multiply features (B,C,H,W) by a per-location map (B,H,W)."""
         fv, av = f.value, a.value
         out = scale_spatial(fv, av)
-        return self._add(_Node(out, (
+        return self._add(out, (
             (f, lambda g: g * av[:, None, :, :]),
             (a, lambda g: (g * fv).sum(axis=1)),
-        )))
+        ))
 
     # -- backward -----------------------------------------------------------
 
@@ -476,15 +444,12 @@ class Tape:
         """Reverse sweep from `root` seeded with `seed_grad`, the gradient of the
         loss at `root`; returns {param name -> gradient}.
 
-        Parameters not reachable from `root` get zero gradients. Constant
-        leaves (`const`) get none: their VJPs are never run.
+        Parameters not reachable from `root` get zero gradients; constants
+        get none, as their VJPs were never kept.
 
-        The sweep frees the graph as it passes: each node it reaches gives up
-        its VJPs and its value (unless its relu or maxpool2 reader has released
-        it already), which go, with the arrays the VJPs kept (pool and relu
-        masks, activations), once the VJPs have run. Only the parameters and the
-        root keep their values, so a tape is swept once: a second call raises
-        ContractError.
+        Each node's VJPs are dropped once they have run, and with them the
+        arrays they closed over, so a tape is swept once: a second call, or an
+        op recorded after it, raises ContractError.
         """
         if self._swept:
             raise ContractError("this tape has been swept once; record a new tape")
@@ -495,23 +460,19 @@ class Tape:
                 f"seed gradient shape {seed_grad.shape} does not match root shape {value.shape}"
             )
         self._swept = True
-        grads = {id(root): seed_grad}
-        for node in reversed(self._nodes):
-            vjps, node.vjps = node.vjps, ()
+        grads = {root.index: seed_grad}
+        for i in reversed(range(len(self._vjps))):
+            vjps, self._vjps[i] = self._vjps[i], ()
             if not vjps:
-                continue  # a leaf: a parameter keeps its gradient in `grads`
-            if node is not root:
-                node.release("its tape's backward sweep; a tape is swept once: record a new tape")
-            g = grads.pop(id(node), None)
+                continue  # a parameter, whose gradient stays in `grads`, or an op on constants
+            g = grads.pop(i, None)
             if g is None:
                 continue
             for parent, fn in vjps:
-                if parent.name is None and not parent.vjps:
-                    continue  # a constant leaf: nothing reads its gradient
                 contrib = fn(g)
-                prev = grads.get(id(parent))
-                grads[id(parent)] = contrib if prev is None else prev + contrib
-        return {name: grads[id(node)] if id(node) in grads else np.zeros_like(node.value)
+                prev = grads.get(parent)
+                grads[parent] = contrib if prev is None else prev + contrib
+        return {name: grads[node.index] if node.index in grads else np.zeros_like(node.value)
                 for name, node in self._params.items()}
 
 

@@ -774,6 +774,29 @@ def test_tune_trials_default_to_the_config(tmp_path, capsys):
     assert len((out_dir / "trials.csv").read_text().splitlines()) == 1 + 2
 
 
+def test_train_on_best_config_rebuilds_the_best_trials_m3(tmp_path, capsys, monkeypatch):
+    # every trial trains with train.seed, whatever repeat_seeds says
+    last_models = []
+    run_chain = weckd.runner.run_chain
+
+    def recording(*args, **kwargs):
+        chain = run_chain(*args, **kwargs)
+        last_models.append(chain.stage_results[-1].model)
+        return chain
+
+    monkeypatch.setattr(weckd.runner, "run_chain", recording)
+    doc = dict(TINY_EXPERIMENT, train={"max_epochs": 1, "batch_size": 8, "seed": 5},
+               repeat_seeds=[0, 1])
+    study = tmp_path / "study"
+    best, _ = weckd.runner.tune_experiment(parse_config(write_config(tmp_path, doc)), 2,
+                                           out_dir=str(study))
+    save_checkpoint(last_models[best.trial_index], str(tmp_path / "best.wckd"))
+    assert json.loads((study / "best-config.json").read_text())["repeat_seeds"] == [5]
+    assert main(["train", "--config", str(study / "best-config.json"),
+                 "--out-dir", str(tmp_path / "run")]) == 0
+    assert (tmp_path / "run" / "m3.wckd").read_bytes() == (tmp_path / "best.wckd").read_bytes()
+
+
 @pytest.mark.parametrize("value", [0, 2.5, "3"])
 def test_bad_trial_count_is_usage_error_naming_the_key(tmp_path, capsys, value):
     doc = dict(TINY_EXPERIMENT, hyperopt={"n_trials": value})
