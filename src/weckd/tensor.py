@@ -20,18 +20,19 @@ so no result depends on these layouts.
 
 conv2d and maxpool2 are per-image ops. On a tape they run their forward and
 their VJPs over contiguous image blocks, one per CPU, each block writing its
-images' slice of the batch's arrays; the conv weight gradient's per-image
-products are summed once over the whole batch. No image's values depend on
-its block, so the results are the same bits for any CPU count. Every other
-tape op runs on the calling thread over the whole batch. The pure functions
-run on whatever thread calls them: `backbone.forward` gives each CPU a run of
-whole row tiles through `_on_blocks`.
+images' slice of the batch's arrays; each conv gradient is its own block
+pass, and the weight gradient's per-image products are summed once over the
+batch. No image's values depend on its block, so the results are the same
+bits for any CPU count. Every other tape op runs on the calling thread over
+the whole batch. The pure functions run on whatever thread calls them:
+`backbone.forward` gives each CPU a run of whole row tiles through `_on_blocks`.
 
 A tape holds what its VJPs close over, and nothing else. It records each
 op's VJPs, not its output: a value lives in the node its caller holds and in
 any VJP that closed over it, so reference counting frees it once neither
 needs it. The conv weight gradient rebuilds its im2col columns from the conv
-input, which its VJP holds anyway, so no columns outlive their forward.
+input, which its VJP holds anyway, so no columns outlive their forward, and
+a constant kernel gets no column rebuild.
 """
 from __future__ import annotations
 
@@ -320,32 +321,26 @@ class Tape:
         _on_blocks(lambda lo, hi: _conv_images(xv[lo:hi], wv, bv, out[lo:hi]), blocks)
         w2 = wv.reshape(F, -1)
 
-        def weight_grad(g, dxf=None):
-            # one handoff: each image block adds its input gradient onto dxf, if
-            # given, then takes its per-image (F, H*W) @ (H*W, C*k*k) terms over
+        # each gradient is its own pass over the image blocks, reading only g
+        def vjp_x(g):
+            # each block adds its images' column gradients back onto their padded planes
+            g3, head = g.reshape(B, F, -1), k // 2 * (1 + W)
+            dxf = np.zeros((B, C, H * W + 2 * head), dtype=g.dtype)
+            _on_blocks(lambda lo, hi: _col2im(np.matmul(w2.T, g3[lo:hi]), dxf[lo:hi], W, k),
+                       blocks)
+            return dxf[:, :, head:head + H * W].reshape(B, C, H, W)
+
+        def vjp_w(g):
+            # each block takes its per-image (F, H*W) @ (H*W, C*k*k) terms over
             # columns rebuilt from its images; the terms are summed once over the batch
             g3 = g.reshape(B, F, -1)
             terms = np.empty((B, F, C * k * k), dtype=g.dtype)
 
             def block(lo, hi):
-                if dxf is not None:
-                    _col2im(np.matmul(w2.T, g3[lo:hi]), dxf[lo:hi], W, k)
                 np.matmul(g3[lo:hi], _im2col(xv[lo:hi], k).transpose(0, 2, 1), out=terms[lo:hi])
 
             _on_blocks(block, blocks)
             return terms.sum(axis=0).reshape(wv.shape)
-
-        dw = []  # the weight gradient that vjp_x made along with the input gradient
-
-        def vjp_x(g):
-            head = k // 2 * (1 + W)
-            dxf = np.zeros((B, C, H * W + 2 * head), dtype=g.dtype)
-            dw.append(weight_grad(g, dxf))
-            return dxf[:, :, head:head + H * W].reshape(B, C, H, W)
-
-        def vjp_w(g):
-            # the sweep runs vjp_x first, on the same g, unless x is a constant
-            return dw.pop() if dw else weight_grad(g)
 
         def vjp_b(g):
             return g.sum(axis=(0, 2, 3))
@@ -485,8 +480,8 @@ def sgd_step(params, grads, lr, momentum=0.0, velocity=None):
 
     Returns (new_params, new_velocity); inputs are not mutated.
     """
-    if lr <= 0:
-        raise ContractError(f"learning rate must be positive, got {lr}")
+    if not 0 < lr < np.inf:
+        raise ContractError(f"learning rate must be in (0,inf), got {lr}")
     if not 0.0 <= momentum < 1.0:
         raise ContractError(f"momentum must be in [0,1), got {momentum}")
     if velocity is None:

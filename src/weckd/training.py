@@ -68,8 +68,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ContractError(f"learning_rate must be in (0,inf), got {self.learning_rate}")
         for name in ("batch_size", "max_epochs", "patience", "lr_patience"):
             value = getattr(self, name)
             if not isinstance(value, numbers.Integral) or value < 1:

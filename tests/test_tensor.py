@@ -346,11 +346,13 @@ def test_a_tape_holds_what_its_sweep_reads_and_a_step_peaks_below_two_column_buf
     assert peak <= kept + 2 * widest, (peak, kept, widest)
 
 
+@pytest.mark.parametrize("input_kind", ["const", "param"])
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("batch", [1, 3, 16])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_weight_gradient_over_rebuilt_columns_keeps_the_kept_columns_bits(
-        dtype, batch, cpus, monkeypatch):
+        dtype, batch, cpus, input_kind, monkeypatch):
+    # with the input a parameter the sweep also makes the input gradient
     import weckd.tensor
     monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
     rng = np.random.default_rng(batch)
@@ -358,8 +360,8 @@ def test_conv_weight_gradient_over_rebuilt_columns_keeps_the_kept_columns_bits(
     w = rng.normal(size=(6, 5, 3, 3)).astype(dtype)
     g = rng.normal(size=(batch, 6, 9, 7)).astype(dtype)
     tape = Tape()
-    out = tape.conv2d(tape.const(x), tape.param("w", w), tape.param("b", np.zeros(6, dtype)),
-                      pad=1)
+    xn = tape.const(x) if input_kind == "const" else tape.param("x", x)
+    out = tape.conv2d(xn, tape.param("w", w), tape.param("b", np.zeros(6, dtype)), pad=1)
     grad = tape.backward(out, g)["w"]
     assert grad.dtype == dtype
     assert np.array_equal(grad, kept_columns_weight_grad(x, w, g))
@@ -406,6 +408,12 @@ def test_sgd_step_momentum_unrolled():
 def test_sgd_step_rejects_nonfinite_gradient():
     with pytest.raises(NumericError):
         sgd_step({"w": np.array([1.0])}, {"w": np.array([np.nan])}, lr=0.1)
+
+
+@pytest.mark.parametrize("lr", [0.0, float("nan"), float("inf")])
+def test_sgd_step_refuses_a_learning_rate_outside_zero_to_inf(lr):
+    with pytest.raises(ContractError, match=f"got {lr}"):
+        sgd_step({"w": np.array([1.0])}, {"w": np.array([0.5])}, lr=lr)
 
 
 def test_finite_diff_quadratic_is_exact():
@@ -625,3 +633,24 @@ def test_backward_never_calls_a_constant_leafs_vjp(monkeypatch):
     monkeypatch.setattr(weckd.tensor, "_col2im", counting_col2im)
     tape.backward(logits, np.ones((2, 3)))
     assert col2im["calls"] == 2  # blocks 1 and 2; block 0's input is the image
+
+
+def test_backward_never_rebuilds_the_columns_of_a_constant_kernel(monkeypatch):
+    import weckd.tensor
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 1)  # one image block
+    rng = np.random.default_rng(0)
+    tape = Tape()
+    out = tape.conv2d(tape.param("x", rng.normal(size=(2, 3, 6, 5))),
+                      tape.const(rng.normal(size=(4, 3, 3, 3))), tape.param("b", np.zeros(4)),
+                      pad=1)
+    im2col = Counter()
+    real = weckd.tensor._im2col
+
+    def counting_im2col(*args):
+        im2col["calls"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(weckd.tensor, "_im2col", counting_im2col)
+    grads = tape.backward(out, rng.normal(size=(2, 4, 6, 5)))
+    assert im2col["calls"] == 0
+    assert sorted(grads) == ["b", "x"]

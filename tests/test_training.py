@@ -739,6 +739,9 @@ def test_checkpoint_reader_fuzz_gives_only_checkpoint_errors(tmp_path):
 def test_train_config_validation():
     with pytest.raises(ContractError):
         TrainConfig(learning_rate=0.0)
+    for bad in ("nan", "inf"):
+        with pytest.raises(ContractError, match=f"learning_rate .*got {bad}"):
+            TrainConfig(learning_rate=float(bad))
     with pytest.raises(ContractError):
         TrainConfig(patience=0)
     with pytest.raises(ContractError):
