@@ -132,56 +132,65 @@ def _layers(ops, p, x, config):
     return ops.dense(fc, p["w2"], p["b2"])
 
 
-# Inference runs in row tiles whose widest conv buffer (the im2col columns or
-# the conv output) fits in this many bytes: well under the 32 MiB mmap
-# threshold that `import weckd` sets (glibc's own starts at 128 KiB), so, with
-# the heap never trimmed, no conv call maps and faults in fresh pages, and a
-# tile's columns stay close to the per-core L2 (2, 4 and 8 MiB measured alike;
-# 16 was slower).
-# A pass's tiles run on every CPU at once, each in its own core's L2.
-# With the contiguous-run im2col, 10 alternating `eval` pairs each (2-core VM,
-# 12 s runs, tiles on one thread) gave median op_s 0.758 s at 4 MiB vs 0.778 s
-# here (4 MiB won 7/10) and 0.806 s at 16 MiB vs 0.794 s (16 MiB won 4/10): no
-# clear winner.
-TILE_BYTES = 8 << 20
-
-
-def _tile_rows(config, dtype):
-    """Rows per inference tile: TILE_BYTES over the widest per-image conv
-    buffer, and at least 2, so no tile drops to a matrix-vector product."""
+def _conv_sizes(config):
+    """Per conv block: the elements of one image's im2col columns and of its conv output."""
     h, w, c = config.input_size
-    widest = 0
     for f in config.conv_blocks:
-        widest = max(widest, c * 9 * h * w, f * h * w)
+        yield c * 9 * h * w, f * h * w
         h, w, c = h // 2, w // 2, f
-    return max(2, TILE_BYTES // (widest * np.dtype(dtype).itemsize))
+
+
+# Inference runs in row tiles. A tile's conv passes build their im2col columns
+# in chunks of `tensor.BUFFER_BYTES`, so what a tile still holds whole is its
+# conv outputs, and the widest of them fits in the same budget: well under the
+# 32 MiB mmap threshold that `import weckd` sets (glibc's own starts at 128
+# KiB), so, with the heap never trimmed, no conv call maps and faults in fresh
+# pages. A pass's tiles run on every CPU at once, each in its own core's L2.
+def _tile_rows(config, dtype):
+    """Rows per inference tile: BUFFER_BYTES over the widest per-image conv
+    output, and at least 2, so no tile drops to a matrix-vector product."""
+    widest = max(out for _, out in _conv_sizes(config))
+    return max(2, T.BUFFER_BYTES // (widest * np.dtype(dtype).itemsize))
 
 
 def forward(model, batch):
     """Inference pass; returns the logits.
 
     The batch runs in even row tiles of at most `_tile_rows` rows, each cast on
-    its own to the compute dtype. The tile count is raised to a multiple of the
-    CPU count, as far as every tile keeps 2 rows, and each CPU runs the whole
-    network over one contiguous run of tiles. A row's logits are the same bits
-    in any tile of 2 rows or more, so they do not depend on the CPU count.
-    Whole-network tile runs pay for themselves: each pure conv and pool op over
-    per-op image blocks instead, tiles in series, made `eval` 30% slower on a
-    2-core VM.
+    its own to the compute dtype. A pass of more than one tile raises its tile
+    count to a multiple of the CPU count, and each CPU runs the whole network
+    over one contiguous run of tiles; a one-tile pass runs on the calling
+    thread. Every tile keeps 2 rows, even past `_tile_rows`: a row's logits
+    are the same bits in any tile of 2 rows or more, so they do not depend on
+    the CPU count or on the budget.
+
+    Measured nulls (2-core VM, seed 0, alternating benchmark runs):
+    - each pure conv and pool op over per-op image blocks instead, tiles in
+      series, made `eval` 30% slower: whole-network tile runs pay for
+      themselves;
+    - 2 MiB tiles whose columns were built whole gave about the same `chain`
+      peak RSS as chunked columns (57.5 against 58.4 MB) but made `eval`
+      18-19% slower in 2 of 3 pairs: chunk the columns, not the network;
+    - a 1 MiB budget for both (56-59 MB) made `chain` up to 33% and `eval`
+      10-30% slower.
 
     The runs go to `tensor`'s image-block pool, so this must not be called
     from one of that pool's threads: a nested wait could deadlock it."""
     x, dtype = _as_batch(model, batch)
-    tiles = -(-len(x) // _tile_rows(model.config, dtype))
     cpus = T._cpus()
-    tiles = max(1, tiles, min(-(-tiles // cpus) * cpus, len(x) // 2))
+    tiles = -(-len(x) // _tile_rows(model.config, dtype))
+    if tiles > 1:
+        tiles = -(-tiles // cpus) * cpus
+    tiles = max(1, min(tiles, len(x) // 2))
+
     parts = np.array_split(x, tiles)
 
     def run(lo, hi):
         return [_layers(T, model.params, tile.astype(dtype, copy=False), model.config)
                 for tile in parts[lo:hi]]
 
-    return np.concatenate([z for zs in T._on_blocks(run, T._image_blocks(tiles)) for z in zs])
+    blocks = T._even(0, tiles, min(cpus, tiles))
+    return np.concatenate([z for zs in T._on_blocks(run, blocks) for z in zs])
 
 
 def forward_on_tape(model, tape, batch):

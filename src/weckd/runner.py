@@ -253,7 +253,7 @@ def evaluate_model(model, dataset):
     One pass over the data; the class count is the checkpoint's, so data
     that lacks the top classes still gets a K x K confusion matrix.
     """
-    probs = softmax_temperature(logits_of(model, dataset, np.arange(len(dataset))), 1.0)
+    probs = softmax_temperature(logits_of(model, dataset, slice(None)), 1.0)
     return {
         **_classify(probs, dataset.labels, model.num_classes),
         "loss": ce_loss(probs, dataset.labels),  # `loss_accuracy`'s CE, from the same softmax

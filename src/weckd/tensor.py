@@ -18,14 +18,19 @@ of column pairs, then of row pairs, and the tape keeps one first-wins mask
 per pass. The copies feed the same GEMMs in the same order,
 so no result depends on these layouts.
 
-conv2d and maxpool2 are per-image ops. On a tape they run their forward and
-their VJPs over contiguous image blocks, one per CPU, each block writing its
-images' slice of the batch's arrays; each conv gradient is its own block
-pass, and the weight gradient's per-image products are summed once over the
-batch. No image's values depend on its block, so the results are the same
-bits for any CPU count. Every other tape op runs on the calling thread over
-the whole batch. The pure functions run on whatever thread calls them:
-`backbone.forward` gives each CPU a run of whole row tiles through `_on_blocks`.
+conv2d and maxpool2 are per-image ops. Every pass of theirs runs its images
+in even chunks whose widest buffer fits in `BUFFER_BYTES`: a conv pass's
+im2col columns (or their gradient), a pool pass's input. On a tape a pass
+splits its images into even contiguous blocks, one per CPU as far as the
+pass makes a chunk per block, so a small pass stays on the calling thread;
+each block runs its images in the fewest even chunks and writes their
+slice of the batch's arrays. Each conv gradient is its own pass, and the
+weight gradient's per-image products are summed once over the batch. No
+image's values depend on its chunk or block, so the results are the same
+bits for any budget and CPU count. Every other tape op runs on the calling
+thread over the whole batch. The pure functions run on whatever thread
+calls them, chunks in series: `backbone.forward` gives each CPU a run of
+whole row tiles through `_on_blocks`.
 
 A tape holds what its VJPs close over, and nothing else. It records each
 op's VJPs, not its output: a value lives in the node its caller holds and in
@@ -147,12 +152,35 @@ def _conv2d_checked(x, w, b, stride, pad):
     return x, w, b
 
 
+# The bytes of the widest buffer that one chunk of a conv or pool pass holds:
+# its im2col columns, their gradient, or the pool's input. 2 MiB is the
+# per-core L2 of the 2-core VM measured; `backbone.forward` sizes its tiles
+# by it too, and its docstring gives the budgets that measured worse.
+BUFFER_BYTES = 2 << 20
+
+
+def _even(lo, hi, parts):
+    """(start, stop) of `parts` contiguous runs covering range(lo, hi) in
+    order, their sizes at most one apart."""
+    edges = [lo + (hi - lo) * i // parts for i in range(parts + 1)]
+    return list(zip(edges[:-1], edges[1:]))
+
+
+def _chunks(lo, hi, image_bytes):
+    """range(lo, hi) as the fewest even runs (start, stop) whose images, of
+    `image_bytes` each, fit in BUFFER_BYTES; a run holds one image at least."""
+    return _even(lo, hi, max(1, -(-(hi - lo) // max(1, BUFFER_BYTES // image_bytes))))
+
+
 def _conv_images(x, w, b, out):
     """Writes the conv of images x (B, C, H, W) into out (B, F, H*W), one GEMM
-    per image with the (F, C*k*k) kernel matrix."""
-    F, k = w.shape[0], w.shape[2]
-    np.matmul(w.reshape(F, -1), _im2col(x, k), out=out)
-    out += b.reshape(F, 1)
+    per image with the (F, C*k*k) kernel matrix, over the im2col columns of
+    one chunk of images at a time."""
+    (B, C, H, W), (F, _, k, _) = x.shape, w.shape
+    w2 = w.reshape(F, -1)
+    for lo, hi in _chunks(0, B, C * k * k * H * W * x.itemsize):
+        np.matmul(w2, _im2col(x[lo:hi], k), out=out[lo:hi])
+        out[lo:hi] += b.reshape(F, 1)
 
 
 def conv2d(x, w, b, stride=1, pad=0):
@@ -256,12 +284,10 @@ def _cpus():
         return os.cpu_count() or 1
 
 
-def _image_blocks(n):
-    """(start, stop) of contiguous blocks covering range(n) in order: one per
-    CPU and none empty, their sizes at most one apart."""
-    k = max(1, min(_cpus(), n))
-    edges = [n * i // k for i in range(k + 1)]
-    return list(zip(edges[:-1], edges[1:]))
+def _image_blocks(n, image_bytes):
+    """(start, stop) of even contiguous blocks covering range(n) in order: one
+    per CPU, as far as range(n) makes a chunk (`_chunks`) per block."""
+    return _even(0, n, min(_cpus(), len(_chunks(0, n, image_bytes))))
 
 
 @functools.cache
@@ -280,6 +306,16 @@ def _on_blocks(fn, blocks):
     finally:
         wait(futures)
     return [f.result() for f in futures] + [last]
+
+
+def _on_chunks(fn, n, image_bytes):
+    """fn(lo, hi) over range(n): each image block (`_image_blocks`) in its own
+    chunks, in order, the blocks on `_on_blocks`."""
+    def run(lo, hi):
+        for chunk in _chunks(lo, hi, image_bytes):
+            fn(*chunk)
+
+    _on_blocks(run, _image_blocks(n, image_bytes))
 
 
 class Tape:
@@ -316,30 +352,31 @@ class Tape:
     def conv2d(self, x, w, b, stride=1, pad=0):
         xv, wv, bv = _conv2d_checked(x.value, w.value, b.value, stride, pad)
         (B, C, H, W), (F, _, k, _) = xv.shape, wv.shape
-        blocks = _image_blocks(B)
+        # the forward's columns and both gradients' column buffers share one size
+        cols = C * k * k * H * W * xv.itemsize
         out = np.empty((B, F, H * W), dtype=xv.dtype)
-        _on_blocks(lambda lo, hi: _conv_images(xv[lo:hi], wv, bv, out[lo:hi]), blocks)
+        _on_chunks(lambda lo, hi: _conv_images(xv[lo:hi], wv, bv, out[lo:hi]), B, cols)
         w2 = wv.reshape(F, -1)
 
-        # each gradient is its own pass over the image blocks, reading only g
+        # each gradient is its own pass over the chunks, reading only g
         def vjp_x(g):
-            # each block adds its images' column gradients back onto their padded planes
+            # each chunk adds its images' column gradients back onto their padded planes
             g3, head = g.reshape(B, F, -1), k // 2 * (1 + W)
             dxf = np.zeros((B, C, H * W + 2 * head), dtype=g.dtype)
-            _on_blocks(lambda lo, hi: _col2im(np.matmul(w2.T, g3[lo:hi]), dxf[lo:hi], W, k),
-                       blocks)
+            _on_chunks(lambda lo, hi: _col2im(np.matmul(w2.T, g3[lo:hi]), dxf[lo:hi], W, k),
+                       B, cols)
             return dxf[:, :, head:head + H * W].reshape(B, C, H, W)
 
         def vjp_w(g):
-            # each block takes its per-image (F, H*W) @ (H*W, C*k*k) terms over
+            # each chunk takes its per-image (F, H*W) @ (H*W, C*k*k) terms over
             # columns rebuilt from its images; the terms are summed once over the batch
             g3 = g.reshape(B, F, -1)
             terms = np.empty((B, F, C * k * k), dtype=g.dtype)
 
-            def block(lo, hi):
+            def chunk(lo, hi):
                 np.matmul(g3[lo:hi], _im2col(xv[lo:hi], k).transpose(0, 2, 1), out=terms[lo:hi])
 
-            _on_blocks(block, blocks)
+            _on_chunks(chunk, B, cols)
             return terms.sum(axis=0).reshape(wv.shape)
 
         def vjp_b(g):
@@ -355,7 +392,7 @@ class Tape:
         xv = x.value
         shape, dtype = xv.shape, xv.dtype
         B, C, H, W = shape
-        blocks = _image_blocks(B)
+        image = C * H * W * xv.itemsize
         out = np.empty((B, C, H // 2, W // 2), dtype=dtype)
         # the first of each tied pair wins: with columns paired before rows
         # that is the window's first max in row-major order
@@ -369,7 +406,7 @@ class Tape:
             np.greater_equal(top, bottom, out=first_row[lo:hi])
             np.maximum(top, bottom, out=out[lo:hi])
 
-        _on_blocks(forward, blocks)
+        _on_chunks(forward, B, image)
 
         def vjp(g):
             dx = (np.zeros if H % 2 or W % 2 else np.empty)(shape, dtype=dtype)
@@ -384,7 +421,7 @@ class Tape:
                 np.multiply(dright, first_col[lo:hi], out=dleft)
                 np.multiply(dright, ~first_col[lo:hi], out=dright)
 
-            _on_blocks(backward, blocks)
+            _on_chunks(backward, B, image)
             return dx
 
         return self._add(out, ((x, vjp),))

@@ -17,6 +17,7 @@ from . import tensor as T
 from .backbone import (
     BackboneConfig,
     Model,
+    _conv_sizes,
     build_model,
     forward,
     forward_on_tape,
@@ -89,7 +90,7 @@ class StageResult:
     best_epoch: int               # the epoch whose parameters `model` holds
     steps_per_epoch: int
     ms_per_step: float
-    row_blocks: int               # conv and pool image blocks per full batch: one per CPU
+    row_blocks: int               # image blocks of a full batch's widest conv pass
 
 
 @dataclass
@@ -107,10 +108,11 @@ def evaluate(model, dataset, indices, batch_size=None):
 
 
 def logits_of(model, dataset, indices):
-    """Inference logits over `indices`, gathered once and scored in one `forward`
-    call: its row tiles are the only chunking, so a row's logits do not depend
-    on the rows beside it."""
-    return forward(model, dataset.images[np.asarray(indices)])
+    """Inference logits over `indices`, an index array (its rows gathered once)
+    or a slice (its rows not copied), scored in one `forward` call: its row
+    tiles are the only chunking, so a row's logits do not depend on the rows
+    beside it."""
+    return forward(model, dataset.images[indices])
 
 
 def loss_accuracy(logits, labels):
@@ -173,6 +175,8 @@ def _train_loop(model, subset, dataset, cfg, stage_index, teacher_z=None):
     step_times = []
     steps_per_epoch = int(np.ceil(train_idx.size / cfg.batch_size))
     alpha = 1.0 if teacher_z is None else dp.alpha
+    itemsize = np.result_type(*params.values()).itemsize
+    widest_columns = max(cols for cols, _ in _conv_sizes(model.config)) * itemsize
 
     for epoch in range(cfg.max_epochs):
         temp = anneal_temperature(epoch, cfg.max_epochs, dp.t_max, dp.t_min)
@@ -220,7 +224,7 @@ def _train_loop(model, subset, dataset, cfg, stage_index, teacher_z=None):
         best_epoch=best_epoch,
         steps_per_epoch=steps_per_epoch,
         ms_per_step=float(np.mean(step_times) * 1000.0),
-        row_blocks=len(T._image_blocks(cfg.batch_size)),
+        row_blocks=len(T._image_blocks(cfg.batch_size, widest_columns)),
     )
 
 

@@ -6,7 +6,6 @@ import pytest
 import weckd.backbone
 import weckd.tensor
 from weckd.backbone import (
-    TILE_BYTES,
     BackboneConfig,
     Model,
     _layers,
@@ -243,7 +242,7 @@ def test_config_rejects_sizes_that_are_not_positive_integers(field, value):
 
 class _RecordConv:
     """The pure `tensor` ops, recording the element count of every conv's
-    im2col columns and output per image."""
+    output per image."""
 
     def __init__(self):
         self.sizes = []
@@ -253,8 +252,7 @@ class _RecordConv:
 
     def conv2d(self, x, w, b, stride, pad):
         out = weckd.tensor.conv2d(x, w, b, stride=stride, pad=pad)
-        _, c, h, wd = out.shape
-        self.sizes += [x.shape[1] * w.shape[2] * w.shape[3] * h * wd, c * h * wd]
+        self.sizes.append(out[0].size)
         return out
 
 
@@ -267,13 +265,59 @@ TILE_CONFIGS = [BackboneConfig(input_size=(32, 32, 1), attention_enabled=True),
 @pytest.mark.parametrize("config", TILE_CONFIGS)
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_tile_rows_keep_the_widest_conv_buffer_within_budget(config, dtype):
+    # a tile's conv passes chunk their columns, so the widest buffer a tile
+    # holds whole is a conv output
     model = build_model(config)
     h, w, c = config.input_size
     ops = _RecordConv()
     _layers(ops, model.params, np.zeros((1, c, h, w), dtype=dtype), config)
     row_bytes = max(ops.sizes) * np.dtype(dtype).itemsize
     rows = _tile_rows(config, dtype)
-    assert rows == 2 or rows * row_bytes <= TILE_BYTES < (rows + 1) * row_bytes
+    budget = weckd.tensor.BUFFER_BYTES
+    assert rows == 2 or rows * row_bytes <= budget < (rows + 1) * row_bytes
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3, 16, 64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_forward_logits_do_not_depend_on_the_column_chunks(dtype, batch, cpus, monkeypatch):
+    # a budget of one image's widest columns (block 1's) gives 2-row tiles and
+    # one image a chunk; one of the whole batch's, one tile and one chunk
+    config = BackboneConfig(input_size=(32, 32, 1), attention_enabled=True)
+    base = build_model(config)
+    model = Model(config, {k: v.astype(dtype) for k, v in base.params.items()})
+    x = np.random.default_rng(batch).random((batch, 1, 32, 32)).astype(dtype)
+    image = 16 * 9 * 16 * 16 * x.itemsize
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", image)
+    per_image = forward(model, x)
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", batch * image)
+    whole = forward(model, x)
+    assert per_image.dtype == dtype and np.array_equal(per_image, whole)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_forward_peaks_below_its_input_and_one_tile_and_budget_per_cpu(cpus, monkeypatch):
+    # each CPU runs one tile at a time, whose widest conv output fits the tile
+    # budget, and whose conv passes build one chunk of columns at a time
+    import tracemalloc
+    config = BackboneConfig(input_size=(32, 32, 1), attention_enabled=True)
+    base = build_model(config)
+    model = Model(config, {k: v.astype(np.float32) for k, v in base.params.items()})
+    x = np.random.default_rng(0).random((280, 1, 32, 32)).astype(np.float32)
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+    ops = _RecordConv()
+    _layers(ops, model.params, x[:1], config)
+    tile = _tile_rows(config, np.float32) * max(ops.sizes) * x.itemsize
+    forward(model, x)  # warm-up: the image-block pool and numpy's caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        forward(model, x)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= x.nbytes + cpus * (tile + weckd.tensor.BUFFER_BYTES), (peak, tile)
 
 
 def test_forward_splits_a_batch_into_even_tiles_of_two_rows_or_more(monkeypatch):

@@ -322,6 +322,7 @@ def test_an_error_in_a_worker_row_block_keeps_its_exit_code(tmp_path, capsys, mo
         return real(*args)
 
     monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 2)  # two image blocks: one on the pool
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", 1)  # one image a chunk: a pass of 2+ spans both
     monkeypatch.setattr(weckd.tensor, "_im2col", failing_on_a_worker)
     out_dir = tmp_path / "run"
     assert main(["train", "--config", write_config(tmp_path, TINY_EXPERIMENT),
@@ -525,6 +526,7 @@ def test_an_error_in_a_worker_tile_of_eval_keeps_its_exit_code(tmp_path, capsys,
         return real(*args)
 
     monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 2)  # two runs of tiles: one on the pool
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", 1)  # 2-row tiles, so a pass has several
     monkeypatch.setattr(weckd.tensor, "_im2col", failing_on_a_worker)
     got, out = _run_eval(ckpt, data, capsys)
     assert got == code

@@ -346,6 +346,85 @@ def test_a_tape_holds_what_its_sweep_reads_and_a_step_peaks_below_two_column_buf
     assert peak <= kept + 2 * widest, (peak, kept, widest)
 
 
+@pytest.mark.parametrize("attention", [False, True])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_step_peaks_below_its_conv_output_and_gradient_and_one_budget_per_cpu(
+        cpus, attention, monkeypatch):
+    # the default backbone at B=64, f64: every conv pass builds its columns in
+    # chunks of at most BUFFER_BYTES, so besides what the tape keeps a step holds
+    # at most the widest conv output and its gradient, and one chunk's columns
+    # per CPU; no term grows with the batch's columns
+    import weckd.tensor
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+    cfg = BackboneConfig(input_size=(32, 32, 1), num_classes=4, attention_enabled=attention)
+    model = build_model(cfg)
+    rng = np.random.default_rng(0)
+    x, y = rng.random((64, 1, 32, 32)), rng.integers(0, 4, 64)
+    kept = _kept_bytes(cfg, 64, x.itemsize)
+    (h, w, _), widest = cfg.input_size, 0
+    for f in cfg.conv_blocks:
+        widest = max(widest, 64 * f * h * w * x.itemsize)
+        h, w = h // 2, w // 2
+
+    def step():
+        tape = Tape()
+        logits = forward_on_tape(model, tape, x)
+        z = logits.value
+        tape.backward(logits, hybrid_loss_grad(z, z, y, 0.5, 4.0))
+
+    step()  # warm-up: the image-block pool and numpy's caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= kept + 2 * widest + cpus * weckd.tensor.BUFFER_BYTES, (peak, kept, widest)
+
+
+def _conv_pass(x, w, b, g):
+    """A taped conv of x, a parameter, and its sweep at g: the output, the
+    input and weight gradients, and the pure conv's output."""
+    tape = Tape()
+    out = tape.conv2d(tape.param("x", x), tape.param("w", w), tape.param("b", b), pad=1)
+    grads = tape.backward(out, g)
+    return out.value, grads["x"], grads["w"], conv2d(x, w, b, pad=1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("batch", [1, 3, 16, 64])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_a_convs_bits_do_not_depend_on_its_column_chunks(dtype, batch, cpus, monkeypatch):
+    # the default backbone's block-1 conv, with a budget of one image's columns
+    # and then of the whole batch's
+    import weckd.tensor
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(batch)
+    x = rng.normal(size=(batch, 16, 16, 16)).astype(dtype)
+    w = rng.normal(size=(32, 16, 3, 3)).astype(dtype)
+    b = rng.normal(size=32).astype(dtype)
+    g = rng.normal(size=(batch, 32, 16, 16)).astype(dtype)
+    image = 16 * 9 * 16 * 16 * x.itemsize
+    chunks = []
+    real = weckd.tensor._im2col
+
+    def recording_im2col(images, k):
+        chunks.append(len(images))
+        return real(images, k)
+
+    monkeypatch.setattr(weckd.tensor, "_im2col", recording_im2col)
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", image)
+    per_image = _conv_pass(x, w, b, g)
+    assert chunks == [1] * 3 * batch  # the forward, the weight gradient's rebuild, the pure conv
+    chunks.clear()
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", batch * image)
+    whole = _conv_pass(x, w, b, g)
+    assert chunks == [batch] * 3
+    for got, want in zip(per_image, whole):
+        assert got.dtype == dtype and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("input_kind", ["const", "param"])
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("batch", [1, 3, 16])

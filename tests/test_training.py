@@ -214,11 +214,18 @@ def test_chain_leaves_every_stage_start_and_teacher_unchanged(monkeypatch):
         _assert_unchanged(model, snapshot)
 
 
-def test_step_time_recorded():
+def test_step_time_recorded(monkeypatch):
+    # row_blocks is the block count of a full batch's widest conv pass: TINY_BB's
+    # two convs each take 1296 column entries per image, 10 KiB at float64
     ds, split = tiny_setup()
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 2)
     res = train_stage1(build_model(TINY_BB), split.subsets[0], ds, fast_cfg())
     assert res.ms_per_step > 0
-    assert res.row_blocks == min(8, weckd.tensor._cpus())
+    assert res.row_blocks == 1  # the batch's 8 images make one chunk: the calling thread's
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", 1296 * 8 * 3)  # 3 images a chunk
+    assert train_stage1(build_model(TINY_BB), split.subsets[0], ds, fast_cfg()).row_blocks == 2
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", 1296 * 8 * 8 + 7)  # 8 images a chunk
+    assert train_stage1(build_model(TINY_BB), split.subsets[0], ds, fast_cfg()).row_blocks == 1
 
 
 # -- heap ----------------------------------------------------------------------
@@ -335,6 +342,34 @@ def test_inference_bits_do_not_depend_on_the_cpu_count(attention, dtype, monkeyp
             z = forward(model, x)
             assert z.dtype == dtype and np.array_equal(z, z1), (n, cpus)
             assert sum(tiles) == n and min(tiles) >= min(n, 2), (n, cpus, tiles)
+
+
+def test_a_small_pass_stays_on_the_calling_thread(monkeypatch):
+    # at 2 CPUs a B=4 float64 step and a 4-row forward each make one chunk per
+    # pass, so none reaches the pool; a B=64 step's block-1 conv makes several
+    from weckd.backbone import forward, forward_on_tape
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: 2)
+    model = build_model(BackboneConfig(input_size=(32, 32, 1), num_classes=4))
+    threads = []
+    real = weckd.tensor._im2col
+
+    def recording_im2col(*args):
+        threads.append(threading.current_thread())
+        return real(*args)
+
+    monkeypatch.setattr(weckd.tensor, "_im2col", recording_im2col)
+
+    def step(batch):
+        x = np.random.default_rng(batch).random((batch, 1, 32, 32))
+        tape = Tape()
+        out = forward_on_tape(model, tape, x)
+        tape.backward(out, np.ones_like(out.value))
+
+    step(4)
+    forward(model, np.random.default_rng(0).random((4, 1, 32, 32)))
+    assert threads and all(t is threading.main_thread() for t in threads)
+    step(64)
+    assert any(t is not threading.main_thread() for t in threads)
 
 
 @pytest.mark.parametrize("error", [ShapeError, NumericError, MemoryError])
