@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import ContractError
+from .tensor import BUFFER_BYTES, ContractError
 
 __all__ = [
     "LabeledDataset",
@@ -111,10 +111,19 @@ def write_idx(dataset: LabeledDataset, images_path, labels_path):
             f"IDX stores labels as u8; the largest label, {dataset.labels.max()}, exceeds 255"
         )
     n, _, h, w = dataset.images.shape
-    pixels = np.clip(np.rint(dataset.images[:, 0] * 255.0), 0, 255).astype(np.uint8)
+    # the pixels go out in runs of images scaled into one buffer of at most
+    # BUFFER_BYTES, rounded and clipped in place: no whole-dataset temporary
+    images = dataset.images[:, 0]
+    rows = max(1, BUFFER_BYTES // (h * w * images.itemsize or 1))
+    scaled = np.empty_like(images[:rows])
     with open(images_path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGES_MAGIC, n, h, w))
-        f.write(pixels.tobytes())
+        for lo in range(0, n, rows):
+            run = images[lo:lo + rows]
+            pixels = np.multiply(run, 255.0, out=scaled[:len(run)])
+            np.rint(pixels, out=pixels)
+            np.clip(pixels, 0, 255, out=pixels)
+            f.write(pixels.astype(np.uint8).tobytes())
     with open(labels_path, "wb") as f:
         f.write(struct.pack(">II", LABELS_MAGIC, n))
         f.write(dataset.labels.astype(np.uint8).tobytes())

@@ -24,13 +24,16 @@ im2col columns (or their gradient), a pool pass's input. On a tape a pass
 splits its images into even contiguous blocks, one per CPU as far as the
 pass makes a chunk per block, so a small pass stays on the calling thread;
 each block runs its images in the fewest even chunks and writes their
-slice of the batch's arrays. Each conv gradient is its own pass, and the
-weight gradient's per-image products are summed once over the batch. No
-image's values depend on its chunk or block, so the results are the same
-bits for any budget and CPU count. Every other tape op runs on the calling
-thread over the whole batch. The pure functions run on whatever thread
-calls them, chunks in series: `backbone.forward` gives each CPU a run of
-whole row tiles through `_on_blocks`.
+slice of the batch's arrays. Each conv gradient is its own pass. The weight
+gradient's chunks, sized to hold their columns and per-image products,
+run in rounds of one chunk per CPU, and after each round the calling
+thread adds the round's products into one running sum in image order, the
+order of numpy's sum over the batch axis. No image's values depend on its
+chunk or block, so the results are the same bits for any budget and CPU
+count. Every other tape op runs on the calling thread over the whole
+batch. The pure functions run on whatever thread calls them, chunks in
+series: `backbone.forward` gives each CPU a run of whole row tiles through
+`_on_blocks`.
 
 A tape holds what its VJPs close over, and nothing else. It records each
 op's VJPs, not its output: a value lives in the node its caller holds and in
@@ -308,6 +311,17 @@ def _on_blocks(fn, blocks):
     return [f.result() for f in futures] + [last]
 
 
+def _rounds(n, image_bytes):
+    """range(n) as rounds of even contiguous chunks (start, stop), in order, one
+    chunk per CPU a round and each within BUFFER_BYTES (`_chunks`); a range
+    of one chunk stays one chunk, for the calling thread."""
+    cpus, parts = _cpus(), len(_chunks(0, n, image_bytes))
+    if parts > 1:
+        parts = min(n, -(-parts // cpus) * cpus)
+    chunks = _even(0, n, parts)
+    return [chunks[i:i + cpus] for i in range(0, parts, cpus)]
+
+
 def _on_chunks(fn, n, image_bytes):
     """fn(lo, hi) over range(n): each image block (`_image_blocks`) in its own
     chunks, in order, the blocks on `_on_blocks`."""
@@ -368,16 +382,26 @@ class Tape:
             return dxf[:, :, head:head + H * W].reshape(B, C, H, W)
 
         def vjp_w(g):
-            # each chunk takes its per-image (F, H*W) @ (H*W, C*k*k) terms over
-            # columns rebuilt from its images; the terms are summed once over the batch
+            # each chunk writes its images' (F, H*W) @ (H*W, C*k*k) products over
+            # columns rebuilt from them; after each round this thread adds the
+            # round's products into one running sum, image by image, the order of
+            # numpy's sum over the batch axis
             g3 = g.reshape(B, F, -1)
-            terms = np.empty((B, F, C * k * k), dtype=g.dtype)
+            grad = np.zeros((F, C * k * k), dtype=g.dtype)
+            rounds = _rounds(B, cols + grad.nbytes)
+            products = np.empty((max(r[-1][1] - r[0][0] for r in rounds),) + grad.shape,
+                                dtype=g.dtype)
 
-            def chunk(lo, hi):
-                np.matmul(g3[lo:hi], _im2col(xv[lo:hi], k).transpose(0, 2, 1), out=terms[lo:hi])
+            def chunk(lo, hi, start):
+                np.matmul(g3[lo:hi], _im2col(xv[lo:hi], k).transpose(0, 2, 1),
+                          out=products[lo - start:hi - start])
 
-            _on_chunks(chunk, B, cols)
-            return terms.sum(axis=0).reshape(wv.shape)
+            for chunks in rounds:
+                start = chunks[0][0]
+                _on_blocks(chunk, [(lo, hi, start) for lo, hi in chunks])
+                for image in products[:chunks[-1][1] - start]:
+                    grad += image
+            return grad.reshape(wv.shape)
 
         def vjp_b(g):
             return g.sum(axis=(0, 2, 3))

@@ -58,8 +58,8 @@ def kept_columns_weight_grad(x, w, g):
     w (F, C, k, k) at output gradient g (B, F, H, W), from the whole batch's
     im2col columns, made once and kept: per-image (F, H*W) @ (H*W, C*k*k)
     products into one (B, F, C*k*k) array, summed once over the batch.
-    `Tape.conv2d` rebuilds the columns in chunks instead and must match it bit
-    for bit."""
+    `Tape.conv2d` rebuilds the columns in chunks instead and adds their
+    products into one running sum, and must match it bit for bit."""
     B, F = g.shape[:2]
     terms = np.matmul(g.reshape(B, F, -1), _im2col(x, w.shape[2]).transpose(0, 2, 1))
     return terms.sum(axis=0).reshape(w.shape)

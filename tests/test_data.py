@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ from weckd.data import (
     partition,
     write_idx,
 )
-from weckd.tensor import ContractError
+from weckd.tensor import BUFFER_BYTES, ContractError
 
 
 def test_idx_round_trip_bit_exact(tmp_path):
@@ -50,6 +51,27 @@ def test_idx_normalization_endpoints(tmp_path):
     write_idx(ds, ip, lp)
     back = load_idx(ip, lp)
     assert set(np.unique(back.images)) == {0.0, 1.0}
+
+
+def test_idx_writes_the_whole_array_pixels_from_runs_of_images_and_no_whole_dataset_temporary(
+        tmp_path):
+    # 1024 images of 32x32 f64 are 8 MiB; every scaled copy fits in one budget,
+    # and pixels are rounded half to even and clipped as over the whole array
+    rng = np.random.default_rng(0)
+    images = rng.uniform(-0.1, 1.1, (1024, 1, 32, 32))
+    images[0, 0, 0, :6] = np.array([0.5, 1.5, 2.5, 253.5, 254.5, 255.5]) / 255.0
+    ds = LabeledDataset(images, rng.integers(0, 4, 1024), ["a", "b", "c", "d"], 4)
+    ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_idx(ds, ip, lp)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * BUFFER_BYTES, peak
+    pixels = np.clip(np.rint(images[:, 0] * 255.0), 0, 255).astype(np.uint8)
+    assert open(ip, "rb").read()[16:] == pixels.tobytes()
 
 
 def test_idx_bad_magic(tmp_path):

@@ -311,8 +311,8 @@ def test_a_tape_holds_what_its_sweep_reads_and_a_step_peaks_below_two_column_buf
     # the default backbone at B=64, f64: the tape holds only what its VJPs
     # close over, so after the forward it holds its masks and kept activations
     # plus Python objects; a whole step adds at most the widest conv's columns
-    # and as much again for what rides with them (the GEMM terms, the conv
-    # output and its gradient)
+    # and as much again for what rides with them (the conv output and its
+    # gradient, one chunk's columns and products per CPU)
     import weckd.tensor
     monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
     cfg = BackboneConfig(input_size=(32, 32, 1), num_classes=4, attention_enabled=attention)
@@ -351,9 +351,10 @@ def test_a_tape_holds_what_its_sweep_reads_and_a_step_peaks_below_two_column_buf
 def test_a_step_peaks_below_its_conv_output_and_gradient_and_one_budget_per_cpu(
         cpus, attention, monkeypatch):
     # the default backbone at B=64, f64: every conv pass builds its columns in
-    # chunks of at most BUFFER_BYTES, so besides what the tape keeps a step holds
-    # at most the widest conv output and its gradient, and one chunk's columns
-    # per CPU; no term grows with the batch's columns
+    # chunks of at most BUFFER_BYTES, and the weight gradient adds its chunks'
+    # products into one running sum, so besides what the tape keeps a step
+    # holds the widest conv output or, later, its gradient, and one chunk per
+    # CPU; no term grows with the batch's columns or products
     import weckd.tensor
     monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
     cfg = BackboneConfig(input_size=(32, 32, 1), num_classes=4, attention_enabled=attention)
@@ -380,7 +381,35 @@ def test_a_step_peaks_below_its_conv_output_and_gradient_and_one_budget_per_cpu(
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= kept + 2 * widest + cpus * weckd.tensor.BUFFER_BYTES, (peak, kept, widest)
+    assert peak <= kept + widest + cpus * weckd.tensor.BUFFER_BYTES, (peak, kept, widest)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_constant_input_convs_sweep_peaks_below_its_weight_gradient_and_two_budgets_per_cpu(
+        cpus, monkeypatch):
+    # the default backbone's block-2 conv at B=64, f64, whose per-image weight
+    # gradient products (9 MiB over the batch) outgrow four budgets: a round
+    # holds one chunk's columns and products per CPU, and the running sum
+    import weckd.tensor
+    monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+    rng = np.random.default_rng(0)
+    x, g = rng.normal(size=(64, 32, 8, 8)), rng.normal(size=(64, 64, 8, 8))
+    w, b = rng.normal(size=(64, 32, 3, 3)), np.zeros(64)
+
+    def sweep():
+        tape = Tape()
+        out = tape.conv2d(tape.const(x), tape.param("w", w), tape.param("b", b), pad=1)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tape.backward(out, g)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    sweep()  # warm-up: the image-block pool and numpy's caches
+    peak = sweep()
+    assert peak <= w.nbytes + 2 * cpus * weckd.tensor.BUFFER_BYTES, peak
 
 
 def _conv_pass(x, w, b, g):
@@ -397,7 +426,7 @@ def _conv_pass(x, w, b, g):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_a_convs_bits_do_not_depend_on_its_column_chunks(dtype, batch, cpus, monkeypatch):
     # the default backbone's block-1 conv, with a budget of one image's columns
-    # and then of the whole batch's
+    # and then of the whole batch's columns and weight gradient products
     import weckd.tensor
     monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
     rng = np.random.default_rng(batch)
@@ -405,7 +434,7 @@ def test_a_convs_bits_do_not_depend_on_its_column_chunks(dtype, batch, cpus, mon
     w = rng.normal(size=(32, 16, 3, 3)).astype(dtype)
     b = rng.normal(size=32).astype(dtype)
     g = rng.normal(size=(batch, 32, 16, 16)).astype(dtype)
-    image = 16 * 9 * 16 * 16 * x.itemsize
+    image, products = 16 * 9 * 16 * 16 * x.itemsize, 32 * 16 * 9 * x.itemsize
     chunks = []
     real = weckd.tensor._im2col
 
@@ -418,22 +447,28 @@ def test_a_convs_bits_do_not_depend_on_its_column_chunks(dtype, batch, cpus, mon
     per_image = _conv_pass(x, w, b, g)
     assert chunks == [1] * 3 * batch  # the forward, the weight gradient's rebuild, the pure conv
     chunks.clear()
-    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", batch * image)
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", batch * (image + products))
     whole = _conv_pass(x, w, b, g)
     assert chunks == [batch] * 3
     for got, want in zip(per_image, whole):
         assert got.dtype == dtype and np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("budget", ["default", "one image", "three images"])
 @pytest.mark.parametrize("input_kind", ["const", "param"])
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("batch", [1, 3, 16])
+@pytest.mark.parametrize("batch", [1, 3, 16, 64])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_conv_weight_gradient_over_rebuilt_columns_keeps_the_kept_columns_bits(
-        dtype, batch, cpus, input_kind, monkeypatch):
-    # with the input a parameter the sweep also makes the input gradient
+        dtype, batch, cpus, input_kind, budget, monkeypatch):
+    # with the input a parameter the sweep also makes the input gradient; at
+    # the default budget every batch makes one chunk, and at one or three
+    # images a chunk the running sum takes its products over many rounds
     import weckd.tensor
     monkeypatch.setattr(weckd.tensor, "_cpus", lambda: cpus)
+    image = (5 * 9 * 9 * 7 + 6 * 5 * 9) * np.dtype(dtype).itemsize  # columns and products
+    budgets = {"default": weckd.tensor.BUFFER_BYTES, "one image": 1, "three images": 3 * image}
+    monkeypatch.setattr(weckd.tensor, "BUFFER_BYTES", budgets[budget])
     rng = np.random.default_rng(batch)
     x = rng.normal(size=(batch, 5, 9, 7)).astype(dtype)
     w = rng.normal(size=(6, 5, 3, 3)).astype(dtype)
